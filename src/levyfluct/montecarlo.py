@@ -1,12 +1,21 @@
 """Path simulation and Monte Carlo estimation: the independent oracle.
 
-Paths are built step by step: drift + Gaussian increment + compound Poisson
-jumps above the truncation threshold; small jumps are replaced by their
-compensator drift alone or by a moment-matched Gaussian.  Boundary crossings
-within a step are resolved with Brownian-bridge corrections (crossing
-probability for the barriers, exact bridge-supremum sampling at a reflecting
-barrier), which removes the dominant discretisation bias of first-passage
-estimates.
+Euler scheme: drift + Gaussian increment + compound Poisson jumps above the
+truncation threshold; small jumps are replaced by their compensator drift
+alone or by a moment-matched Gaussian.  Boundary crossings within a step are
+resolved with Brownian-bridge corrections (crossing probability for the
+barriers, exact bridge-supremum sampling at a reflecting barrier), which
+removes the dominant discretisation bias of first-passage estimates.
+
+Paths are stepped in time blocks.  Each block draws k steps of variates for
+the m paths still alive, k = max(1, CELLS // m), so every block holds about
+CELLS path-steps whatever the alive count.  Positions come from one
+cumulative sum along each path when the block is long (few paths), and from
+a step-at-a-time walk across paths when it is short or the drift is the
+state-dependent refracted one; both add in the per-step order.  The
+reflection regulator is a running maximum and each path's first exit an
+argmax over the block.  Paths with no exit carry their last position into
+the next block.
 
 Determinism: paths are processed in fixed-size batches; batch j draws from a
 counter-based Philox stream keyed by (seed, j).  Batch outputs are combined
@@ -18,9 +27,10 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,15 +38,22 @@ from . import models as _models
 from .errors import ModelError
 
 CAPPED_FLAG_LEVEL = 1e-3
+CELLS = 8192      # variate cells (paths x steps) drawn per block
+ROW_STEPS = 32    # blocks up to this many steps are walked a step at a time
 
 
 def thread_count():
-    """Worker cap from LEVYFLUCT_THREADS (default 1)."""
+    """Worker cap from LEVYFLUCT_THREADS (default 1); a malformed value warns and gives 1."""
     raw = os.environ.get("LEVYFLUCT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
+        count = 0
+    if count < 1:
+        warnings.warn(f"LEVYFLUCT_THREADS={raw!r} is not a positive integer; using 1",
+                      RuntimeWarning, stacklevel=2)
         return 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -150,6 +167,9 @@ class _JumpKit:
             self.lam = float(measure.tail(self.eps_eff))
             self.alpha = measure.params["alpha"]
             self.rho = measure.params["rho"]
+            # acceptance rate of the Pareto proposal: tempered over Pareto mass above eps
+            self.accept = (self.lam * self.alpha * self.eps_eff ** self.alpha
+                           * math.exp(self.rho * self.eps_eff) / measure.params["c"])
         elif fam == "table":
             lo = measure.params["theta"][0]
             self.eps_eff = max(scheme.eps, lo) if scheme.eps > lo else lo
@@ -174,7 +194,12 @@ class _JumpKit:
         """Sum of jump sizes per path, given per-path Poisson counts."""
         fam = self.measure.family
         if fam == "exponential":
-            return rng.gamma(counts.astype(float), 1.0 / self.rho)
+            # gamma with shape 0 is 0 without a draw: skipping those cells
+            # leaves the stream and the totals unchanged
+            out = np.zeros(counts.size)
+            hit = np.flatnonzero(counts)
+            out[hit] = rng.gamma(counts[hit].astype(float), 1.0 / self.rho)
+            return out
         total = int(counts.sum())
         if total == 0:
             return np.zeros(counts.size)
@@ -187,14 +212,16 @@ class _JumpKit:
         return np.bincount(owner, weights=sizes, minlength=counts.size)
 
     def _sample_tempered(self, rng, n):
-        # Pareto proposal above eps, tempering acceptance e^{-rho (t - eps)}
+        # Pareto proposal eps e^{E1/alpha} above eps, accepted with probability
+        # e^{-rho (t - eps)}, i.e. when an independent E2 ~ Exp(1) exceeds rho (t - eps)
         out = np.empty(n)
         todo = n
         filled = 0
         while todo > 0:
-            m = int(todo * 1.2) + 16
-            prop = self.eps_eff * rng.random(m) ** (-1.0 / self.alpha)
-            acc = rng.random(m) < np.exp(-self.rho * (prop - self.eps_eff))
+            # enough proposals for one pass but for a 4-sigma shortfall
+            m = int((todo + 4.0 * math.sqrt(todo)) / self.accept) + 16
+            prop = self.eps_eff * np.exp(rng.standard_exponential(m) / self.alpha)
+            acc = rng.standard_exponential(m) > self.rho * (prop - self.eps_eff)
             got = prop[acc][:todo]
             out[filled:filled + got.size] = got
             filled += got.size
@@ -229,141 +256,259 @@ def _run_batches(n_paths, scheme, runner):
     return results
 
 
-def _simulate_kernel(model, a, b, x0, scheme, n_paths, q=0.0, *, delta=0.0,
-                     refract_level=None, reflect_level=None, n_bins=0):
-    """Shared Euler kernel for plain, refracted and reflected passage.
+class _Block(NamedTuple):
+    """Variates for k steps of m paths, each array shaped (k, m) or None."""
 
-    Returns (ExitSamples, histogram accumulators or None).  For reflected
-    runs there is no upper exit; ``xi_discounted`` carries int e^{-qs} dxi.
+    k: int
+    z: Optional[np.ndarray]        # standard Gaussians
+    jumps: Optional[np.ndarray]    # jump totals per step
+    u: Optional[np.ndarray]        # bridge uniforms (crossing tests)
+    u_sup: Optional[np.ndarray]    # bridge-supremum uniforms (reflection)
+
+
+class _Steps(NamedTuple):
+    """One block's outcome: exit data for the paths that left, by block row."""
+
+    rows: np.ndarray               # block rows of the exiting paths
+    sides: np.ndarray
+    creep: np.ndarray
+    times: np.ndarray
+    positions: np.ndarray
+    last: np.ndarray               # per path: exit column, or k - 1
+    x_end: np.ndarray              # per path: position after the block
+    starts: np.ndarray             # (k, m) positions at the start of each step
+    xi: Optional[np.ndarray]       # per path: discounted regulator up to the exit
+
+
+class _Kernel:
+    """Euler kernel shared by plain, refracted and reflected passage.
+
+    Each block draws k = max(1, CELLS // m) steps for the m alive paths,
+    finds every path's first exit in the block and carries the survivors'
+    last positions into the next block.
     """
-    kit = _JumpKit(model.measure, scheme)
-    dt = scheme.dt
-    sqdt = math.sqrt(dt)
-    horizon = scheme.resolve_horizon(q)
-    n_steps = int(math.ceil(horizon / dt))
-    drift0 = model.gamma + kit.drift_comp
-    sig_eff = math.sqrt(model.sigma ** 2 + kit.sigma2_small)
-    sig2dt = sig_eff ** 2 * dt
-    lam_dt = kit.lam * dt
-    use_bridge = scheme.bridge and sig_eff > 0.0
-    reflect = reflect_level is not None
-    if reflect and x0 > reflect_level:
-        raise ModelError("reflected start must satisfy x0 <= barrier")
-    if n_bins:
-        bin_w = (b - a) / n_bins
 
-    def runner(rng, nb):
-        x = np.full(nb, float(x0))
+    def __init__(self, model, a, b, x0, scheme, q=0.0, *, delta=0.0,
+                 refract_level=None, reflect=False, n_bins=0):
+        if reflect and x0 > b:
+            raise ModelError("reflected start must satisfy x0 <= barrier")
+        self.kit = _JumpKit(model.measure, scheme)
+        self.a, self.b, self.x0, self.q = a, b, float(x0), q
+        self.dt = scheme.dt
+        self.horizon = scheme.resolve_horizon(q)
+        self.n_steps = int(math.ceil(self.horizon / self.dt))
+        self.drift0 = model.gamma + self.kit.drift_comp
+        self.sig_eff = math.sqrt(model.sigma ** 2 + self.kit.sigma2_small)
+        self.sig2dt = self.sig_eff ** 2 * self.dt
+        self.lam_dt = self.kit.lam * self.dt
+        self.use_bridge = scheme.bridge and self.sig_eff > 0.0
+        self.delta, self.refract_level = delta, refract_level
+        self.reflect = reflect
+        self.n_bins = n_bins
+        if n_bins:
+            self.bin_w = (b - a) / n_bins
+
+    def block_len(self, m, step):
+        return min(max(1, CELLS // m), self.n_steps - step)
+
+    def draw(self, rng, m, k):
+        """Variates in a fixed order: Gaussians, Poisson counts, jump totals, uniforms.
+
+        Each is drawn path by path (k steps of path 0, then of path 1, ...)
+        and stored steps-major, (k, m), for the step-by-step arithmetic.
+        """
+        def steps_major(a):
+            return np.ascontiguousarray(a.reshape(m, k).T)
+
+        z = steps_major(rng.standard_normal(m * k)) if self.sig_eff > 0.0 else None
+        jumps = None
+        if self.lam_dt > 0.0:
+            counts = rng.poisson(self.lam_dt, m * k)
+            jumps = steps_major(self.kit.path_totals(rng, counts))
+        u = steps_major(rng.random(m * k)) if self.use_bridge else None
+        u_sup = steps_major(rng.random(m * k)) if self.use_bridge and self.reflect else None
+        return _Block(k, z, jumps, u, u_sup)
+
+    def run(self, rng, nb):
+        x = np.full(nb, self.x0)
         idx = np.arange(nb)
-        times = np.full(nb, horizon)
+        times = np.full(nb, self.horizon)
         sides = np.full(nb, CAPPED, dtype=np.int8)
         pos = np.full(nb, np.nan)
         creep = np.zeros(nb, dtype=bool)
-        xi_acc = np.zeros(nb) if reflect else None
-        hist = np.zeros((nb, n_bins)) if n_bins else None
-        for step in range(n_steps):
-            m = idx.size
-            if m == 0:
-                break
-            t_now = step * dt
-            if n_bins:
-                w = math.exp(-q * t_now) * dt
-                bins = np.clip(((x - a) / bin_w).astype(np.int64), 0, n_bins - 1)
-                np.add.at(hist, (idx, bins), w)
-            if refract_level is not None:
-                drift = drift0 - delta * (x > refract_level)
-            else:
-                drift = drift0
-            if sig_eff > 0.0:
-                z = rng.standard_normal(m)
-                x_pre = x + drift * dt + sig_eff * sqdt * z
-            else:
-                x_pre = x + drift * dt
-            if reflect:
-                if use_bridge:
-                    # exact bridge-supremum sample: no O(sqrt(dt)) regulator bias
-                    u_sup = rng.random(m)
-                    gap = x_pre - x
-                    sup = 0.5 * (x + x_pre + np.sqrt(gap * gap - 2.0 * sig2dt * np.log(u_sup)))
-                else:
-                    sup = np.maximum(x, x_pre)
-                xi_inc = np.maximum(sup - reflect_level, 0.0)
-                x_pre = x_pre - xi_inc
-                xi_acc[idx] += math.exp(-q * (t_now + 0.5 * dt)) * xi_inc
-                hit_up = np.zeros(m, dtype=bool)
-            elif use_bridge:
-                p_up = np.where(x_pre >= b, 1.0,
-                                np.exp(-2.0 * np.maximum(b - x, 0.0)
-                                       * np.maximum(b - x_pre, 0.0) / sig2dt))
-                u = rng.random(m)
-                hit_up = u < p_up
-            else:
-                hit_up = x_pre >= b
-
-            if use_bridge:
-                if not reflect:
-                    # conditional uniform given no up-crossing
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        u2 = np.where(hit_up, 2.0, (u - p_up) / (1.0 - p_up))
-                else:
-                    u2 = rng.random(m)
-                p_dn = np.where(x_pre <= a, 1.0,
-                                np.exp(-2.0 * np.maximum(x - a, 0.0)
-                                       * np.maximum(x_pre - a, 0.0) / sig2dt))
-                hit_creep = (~hit_up) & (u2 < p_dn)
-            else:
-                hit_creep = (~hit_up) & (x_pre <= a)
-
-            if lam_dt > 0.0:
-                counts = rng.poisson(lam_dt, m)
-                totals = kit.path_totals(rng, counts)
-                x_post = x_pre - totals
-            else:
-                x_post = x_pre
-            hit_jump = (~hit_up) & (~hit_creep) & (x_post < a)
-
-            if np.any(hit_up):
-                rows = idx[hit_up]
-                if sig_eff > 0.0:
-                    times[rows] = t_now + dt
-                else:
-                    # drift-only crossing time is exact within the step
-                    d = drift[hit_up] if np.ndim(drift) else drift
-                    times[rows] = t_now + (b - x[hit_up]) / d
-                sides[rows] = UP
-                pos[rows] = b
-            if np.any(hit_creep):
-                rows = idx[hit_creep]
-                times[rows] = t_now + dt
-                sides[rows] = DOWN
-                pos[rows] = a
-                creep[rows] = True
-            if np.any(hit_jump):
-                rows = idx[hit_jump]
-                times[rows] = t_now + dt
-                sides[rows] = DOWN
-                pos[rows] = x_post[hit_jump]
-            keep = (~hit_up) & (~hit_creep) & (~hit_jump)
-            x = x_post[keep]
+        xi_acc = np.zeros(nb) if self.reflect else None
+        hist = np.zeros((nb, self.n_bins)) if self.n_bins else None
+        step = 0
+        while idx.size and step < self.n_steps:
+            k = self.block_len(idx.size, step)
+            out = self.advance(x, step, self.draw(rng, idx.size, k))
+            if self.n_bins:
+                self._occupy(hist, idx, step, out)
+            if self.reflect:
+                xi_acc[idx] += out.xi
+            rows = idx[out.rows]
+            times[rows] = out.times
+            sides[rows] = out.sides
+            pos[rows] = out.positions
+            creep[rows] = out.creep
+            keep = np.ones(idx.size, dtype=bool)
+            keep[out.rows] = False
+            x = out.x_end[keep]
             idx = idx[keep]
+            step += k
         out = dict(times=times, sides=sides, pos=pos, creep=creep)
-        if reflect:
+        if self.reflect:
             out["xi"] = xi_acc
-        if n_bins:
+        if self.n_bins:
             out["hist"] = hist.sum(axis=0)
             out["hist_sq"] = (hist ** 2).sum(axis=0)
         return out
 
-    batches = _run_batches(n_paths, scheme, runner)
+    def _walk(self, x, blk):
+        """Positions at each step's start, after its continuous part and after its jumps."""
+        m, k = x.size, blk.k
+        dt = self.dt
+        sz = self.sig_eff * math.sqrt(dt) * blk.z if blk.z is not None else None
+        if k > ROW_STEPS and self.refract_level is None:
+            # few paths, many steps: interleaved increments [x, drift dt,
+            # sigma sqrt(dt) z_1, -J_1, drift dt, ...] in one cumsum, which adds
+            # left to right, so each step rounds as x + drift dt + sz - J
+            parts = [p for p in (sz, None if blk.jumps is None else -blk.jumps)
+                     if p is not None]
+            n = 1 + len(parts)
+            cols = np.empty((1 + n * k, m))
+            cols[0] = x
+            cols[1::n] = self.drift0 * dt
+            for i, p in enumerate(parts):
+                cols[2 + i::n] = p
+            path = np.cumsum(cols, axis=0)
+            ends = path[::n]
+            pre = path[1 + (sz is not None)::n] if blk.jumps is not None else ends[1:]
+            return ends[:-1], pre, ends[1:]
+        # many paths, few steps: the same additions a step at a time across paths;
+        # the refracted drift (drift0 - delta * 1{x > c}) dt takes one of two values
+        if self.refract_level is not None:
+            above, below = (self.drift0 - self.delta) * dt, self.drift0 * dt
+        start, pre, post = np.empty((3, k, m))
+        for j in range(k):
+            start[j] = x
+            if self.refract_level is not None:
+                x = np.add(x, np.where(x > self.refract_level, above, below), out=pre[j])
+            else:
+                x = np.add(x, self.drift0 * dt, out=pre[j])
+            if sz is not None:
+                x = np.add(x, sz[j], out=pre[j])
+            if blk.jumps is not None:
+                x = np.subtract(x, blk.jumps[j], out=post[j])
+            else:
+                post[j] = x
+        return start, pre, post
+
+    def _regulate(self, start, pre, post, u_sup):
+        """Skorokhod map at b: the regulator is the running max of step suprema minus b."""
+        if u_sup is not None:
+            # exact bridge-supremum sample: no O(sqrt(dt)) regulator bias
+            gap = pre - start
+            sup = 0.5 * (start + pre + np.sqrt(gap * gap - 2.0 * self.sig2dt * np.log(u_sup)))
+        else:
+            sup = np.maximum(start, pre)
+        reg = np.maximum(np.maximum.accumulate(sup - self.b, axis=0), 0.0)
+        before = np.zeros_like(reg)
+        before[1:] = reg[:-1]
+        return start - before, pre - reg, post - reg, reg - before
+
+    def _bridge_prob(self, gap0, gap1):
+        """Bridge crossing probability exp(-2 gap0+ gap1+ / (sigma^2 dt)).
+
+        Arguments below -746 give exactly 0.0, so exp runs only on the others:
+        numpy's exp is many times slower on arguments that underflow.
+        """
+        arg = -2.0 * np.maximum(gap0, 0.0) * np.maximum(gap1, 0.0) / self.sig2dt
+        out = np.zeros_like(arg)
+        live = np.flatnonzero(arg > -746.0)
+        out.flat[live] = np.exp(arg.flat[live])
+        return out
+
+    def advance(self, x, step, blk):
+        """First exits of the paths started at ``x`` over the block ``blk``."""
+        a, b, dt = self.a, self.b, self.dt
+        start, pre, post = self._walk(x, blk)
+        k, m = start.shape
+        if self.reflect:
+            start, pre, post, xi_inc = self._regulate(start, pre, post, blk.u_sup)
+            hit_up = np.zeros((k, m), dtype=bool)
+        elif self.use_bridge:
+            p_up = np.where(pre >= b, 1.0, self._bridge_prob(b - start, b - pre))
+            hit_up = blk.u < p_up
+        else:
+            hit_up = pre >= b
+        if self.use_bridge:
+            if self.reflect:
+                u2 = blk.u
+            else:
+                # conditional uniform given no up-crossing
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    u2 = np.where(hit_up, 2.0, (blk.u - p_up) / (1.0 - p_up))
+            p_dn = np.where(pre <= a, 1.0, self._bridge_prob(start - a, pre - a))
+            hit_creep = (~hit_up) & (u2 < p_dn)
+        else:
+            hit_creep = (~hit_up) & (pre <= a)
+        event = hit_up | hit_creep | (post < a)
+
+        # per-path work only for the paths that exit in this block
+        rows = np.flatnonzero(event.any(axis=0))
+        first = event[:, rows].argmax(axis=0)
+        up = hit_up[first, rows]
+        crept = hit_creep[first, rows]
+        t_now = (step + first) * dt
+        times = t_now + dt
+        if self.sig_eff == 0.0 and np.any(up):
+            # drift-only crossing time is exact within the step
+            x_up = start[first[up], rows[up]]
+            drift = self.drift0
+            if self.refract_level is not None:
+                drift = drift - self.delta * (x_up > self.refract_level)
+            times[up] = t_now[up] + (b - x_up) / drift
+        sides = np.where(up, UP, DOWN).astype(np.int8)
+        positions = np.where(up, float(b), np.where(crept, float(a), post[first, rows]))
+        last = np.full(m, k - 1)
+        last[rows] = first
+        xi = None
+        if self.reflect:
+            disc = np.array([math.exp(-self.q * ((step + j) * dt + 0.5 * dt))
+                             for j in range(k)])
+            xi = np.sum(np.where(np.arange(k)[:, None] <= last, xi_inc * disc[:, None], 0.0),
+                        axis=0)
+        return _Steps(rows, sides, crept, times, positions, last, post[-1], start, xi)
+
+    def _occupy(self, hist, idx, step, out):
+        """Add e^{-qt} dt at each step's start bin up to the exit, in time order per path."""
+        k = out.starts.shape[0]
+        cols, rows = np.nonzero(np.arange(k)[:, None] <= out.last)
+        w = np.array([math.exp(-self.q * ((step + j) * self.dt)) * self.dt for j in range(k)])
+        bins = np.clip(((out.starts[cols, rows] - self.a) / self.bin_w).astype(np.int64),
+                       0, self.n_bins - 1)
+        np.add.at(hist.reshape(-1), idx[rows] * self.n_bins + bins, w[cols])
+
+
+def _simulate_kernel(model, a, b, x0, scheme, n_paths, q=0.0, **kind):
+    """Run the blocked kernel over batches; returns (ExitSamples, histogram or None).
+
+    For reflected runs there is no upper exit; ``xi_discounted`` carries
+    int e^{-qs} dxi.
+    """
+    kernel = _Kernel(model, a, b, x0, scheme, q, **kind)
+    batches = _run_batches(n_paths, scheme, kernel.run)
     samples = ExitSamples(
         times=np.concatenate([r["times"] for r in batches]),
         sides=np.concatenate([r["sides"] for r in batches]),
         positions=np.concatenate([r["pos"] for r in batches]),
         creep=np.concatenate([r["creep"] for r in batches]),
-        xi_discounted=(np.concatenate([r["xi"] for r in batches]) if reflect else None),
-        horizon=horizon)
+        xi_discounted=(np.concatenate([r["xi"] for r in batches])
+                       if kernel.reflect else None),
+        horizon=kernel.horizon)
     hist_data = None
-    if n_bins:
+    if kernel.n_bins:
         total = np.sum([r["hist"] for r in batches], axis=0)
         total_sq = np.sum([r["hist_sq"] for r in batches], axis=0)
         hist_data = (total, total_sq)
@@ -388,6 +533,14 @@ def simulate_first_passage(model, a, b, x0, scheme, n_paths, q=0.0):
     return samples
 
 
+def _mean_stderr(vals):
+    """Sample mean and its standard error; the error is inf below two paths."""
+    mean = float(np.mean(vals))
+    if vals.size < 2:
+        return mean, math.inf
+    return mean, float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
 def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
                                   samples=None):
     """MC estimate of E_x[e^{-q tau_a^-} f(X at tau_a^-) 1{down exit first}].
@@ -409,8 +562,7 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
         except Exception:
             fv = np.array([float(f(p)) for p in posd])
         vals[down] = np.exp(-q * samples.times[down]) * fv
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    mean, stderr = _mean_stderr(vals)
     return MCEstimate(mean=mean, stderr=stderr, n_paths=samples.n_paths,
                       scheme=scheme, capped_fraction=samples.capped_fraction)
 
@@ -420,9 +572,7 @@ def estimate_exit_transform(samples, q, side=UP):
     vals = np.zeros(samples.n_paths)
     mask = samples.sides == side
     vals[mask] = np.exp(-q * samples.times[mask])
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return mean, stderr
+    return _mean_stderr(vals)
 
 
 def estimate_creeping(samples, q):
@@ -430,9 +580,7 @@ def estimate_creeping(samples, q):
     vals = np.zeros(samples.n_paths)
     mask = samples.creep
     vals[mask] = np.exp(-q * samples.times[mask])
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return mean, stderr
+    return _mean_stderr(vals)
 
 
 def simulate_reflected(model, b, a, x0, scheme, n_paths, q=0.0, n_bins=0):
@@ -444,7 +592,7 @@ def simulate_reflected(model, b, a, x0, scheme, n_paths, q=0.0, n_bins=0):
     ResolventEstimate of the occupation density on [a, b].
     """
     samples, hist = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
-                                     reflect_level=b, n_bins=n_bins)
+                                     reflect=True, n_bins=n_bins)
     if n_bins:
         return samples, _histogram_to_resolvent(hist, samples, scheme, a, b, n_bins)
     return samples

@@ -111,9 +111,15 @@ class MonteCarloProvider:
         self._cache = {}
 
     def _key(self, spec):
+        # keyed on the model's parameters, not its id: ids are reused after
+        # garbage collection
+        model = spec.model
+        params = tuple((k, tuple(v) if isinstance(v, (list, np.ndarray)) else v)
+                       for k, v in sorted(model.measure.params.items()))
         vals = tuple(getattr(spec, name) for name in spec.__dataclass_fields__
                      if name != "model")
-        return (type(spec).__name__, id(spec.model)) + vals
+        return (type(spec).__name__, model.gamma, model.sigma, model.measure.family,
+                params) + vals
 
     def reflected(self, spec):
         key = self._key(spec)
@@ -121,8 +127,7 @@ class MonteCarloProvider:
             samples, res = mc.simulate_reflected(
                 spec.model, spec.b, spec.a, spec.x, self.scheme, self.n_paths,
                 q=spec.q, n_bins=self.n_bins)
-            lt = float(np.mean(samples.xi_discounted))
-            lt_se = float(np.std(samples.xi_discounted, ddof=1) / math.sqrt(samples.n_paths))
+            lt, lt_se = mc._mean_stderr(samples.xi_discounted)
             if spec.model.sigma == 0.0:
                 creep, creep_se = 0.0, 0.0
             else:

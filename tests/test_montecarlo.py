@@ -2,17 +2,20 @@
 
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from levyfluct import montecarlo as mc
 from levyfluct import (ExitProblem, ModelError, brownian_motion,
                        creeping_transform, estimate_creeping, estimate_exit_transform,
                        estimate_overshoot_functional, estimate_resolvent,
                        resolvent_density, simulate_first_passage, simulate_reflected,
                        simulate_refracted)
 from levyfluct.models import LevyTriplet, no_jumps
-from levyfluct.montecarlo import CAPPED, DOWN, UP, SimScheme
+from levyfluct.montecarlo import CAPPED, DOWN, UP, SimScheme, thread_count
 
 ONE = lambda y: np.ones_like(np.asarray(y, dtype=float))
 A, B, X0 = 0.0, 2.0, 1.0
@@ -293,3 +296,182 @@ def test_scheme_validation():
         SimScheme(eps=-1.0)
     with pytest.raises(ModelError):
         SimScheme(small_jump_mode="bogus")
+
+
+def test_one_path_standard_error_is_infinite(catalog):
+    model = catalog["jump_diffusion"]
+    scheme = SimScheme(dt=2e-3, seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = simulate_first_passage(model, A, B, X0, scheme, 1, q=0.05)
+        est = estimate_overshoot_functional(model, ONE, A, B, 0.05, X0, scheme, 1,
+                                            samples=s)
+        up = estimate_exit_transform(s, 0.05, UP)
+        creep = estimate_creeping(s, 0.05)
+    assert est.stderr == up[1] == creep[1] == math.inf
+    assert math.isfinite(est.mean) and math.isfinite(up[0]) and math.isfinite(creep[0])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+def test_thread_count_warns_on_malformed_value(monkeypatch, raw):
+    monkeypatch.setenv("LEVYFLUCT_THREADS", raw)
+    with pytest.warns(RuntimeWarning, match=re.escape(repr(raw))):
+        assert thread_count() == 1
+
+
+def test_thread_count_reads_positive_value(monkeypatch):
+    monkeypatch.setenv("LEVYFLUCT_THREADS", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thread_count() == 3
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernel against the per-step recursion it replaced
+# ---------------------------------------------------------------------------
+
+def reference_run(kernel, rng, nb):
+    """Per-step Euler recursion over the kernel's own variate blocks.
+
+    Blocks are drawn exactly as the kernel draws them; within a block the
+    paths are stepped one column at a time, dropping each path at its exit.
+    """
+    a, b, q, dt = kernel.a, kernel.b, kernel.q, kernel.dt
+    sqdt = math.sqrt(dt)
+    sig_eff, sig2dt, drift0 = kernel.sig_eff, kernel.sig2dt, kernel.drift0
+    use_bridge, reflect, n_bins = kernel.use_bridge, kernel.reflect, kernel.n_bins
+    x = np.full(nb, kernel.x0)
+    idx = np.arange(nb)
+    times = np.full(nb, kernel.horizon)
+    sides = np.full(nb, CAPPED, dtype=np.int8)
+    pos = np.full(nb, np.nan)
+    creep = np.zeros(nb, dtype=bool)
+    xi_acc = np.zeros(nb)
+    hist = np.zeros((nb, max(n_bins, 1)))
+    step = 0
+    while idx.size and step < kernel.n_steps:
+        k = kernel.block_len(idx.size, step)
+        blk = kernel.draw(rng, idx.size, k)
+        live = np.arange(idx.size)
+        for j in range(k):
+            if live.size == 0:
+                break
+            rows = idx[live]
+            t_now = (step + j) * dt
+            if n_bins:
+                w = math.exp(-q * t_now) * dt
+                bins = np.clip(((x - a) / kernel.bin_w).astype(np.int64), 0, n_bins - 1)
+                np.add.at(hist, (rows, bins), w)
+            if kernel.refract_level is not None:
+                drift = drift0 - kernel.delta * (x > kernel.refract_level)
+            else:
+                drift = drift0
+            if sig_eff > 0.0:
+                x_pre = x + drift * dt + sig_eff * sqdt * blk.z[j, live]
+            else:
+                x_pre = x + drift * dt
+            if reflect:
+                if use_bridge:
+                    gap = x_pre - x
+                    sup = 0.5 * (x + x_pre + np.sqrt(
+                        gap * gap - 2.0 * sig2dt * np.log(blk.u_sup[j, live])))
+                else:
+                    sup = np.maximum(x, x_pre)
+                xi_inc = np.maximum(sup - b, 0.0)
+                x_pre = x_pre - xi_inc
+                xi_acc[rows] += math.exp(-q * (t_now + 0.5 * dt)) * xi_inc
+                hit_up = np.zeros(live.size, dtype=bool)
+            elif use_bridge:
+                p_up = np.where(x_pre >= b, 1.0,
+                                np.exp(-2.0 * np.maximum(b - x, 0.0)
+                                       * np.maximum(b - x_pre, 0.0) / sig2dt))
+                u = blk.u[j, live]
+                hit_up = u < p_up
+            else:
+                hit_up = x_pre >= b
+            if use_bridge:
+                if not reflect:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        u2 = np.where(hit_up, 2.0, (u - p_up) / (1.0 - p_up))
+                else:
+                    u2 = blk.u[j, live]
+                p_dn = np.where(x_pre <= a, 1.0,
+                                np.exp(-2.0 * np.maximum(x - a, 0.0)
+                                       * np.maximum(x_pre - a, 0.0) / sig2dt))
+                hit_creep = (~hit_up) & (u2 < p_dn)
+            else:
+                hit_creep = (~hit_up) & (x_pre <= a)
+            x_post = x_pre - blk.jumps[j, live] if blk.jumps is not None else x_pre
+            hit_jump = (~hit_up) & (~hit_creep) & (x_post < a)
+            if np.any(hit_up):
+                if sig_eff > 0.0:
+                    times[rows[hit_up]] = t_now + dt
+                else:
+                    d = drift[hit_up] if np.ndim(drift) else drift
+                    times[rows[hit_up]] = t_now + (b - x[hit_up]) / d
+                sides[rows[hit_up]] = UP
+                pos[rows[hit_up]] = b
+            times[rows[hit_creep]] = t_now + dt
+            sides[rows[hit_creep]] = DOWN
+            pos[rows[hit_creep]] = a
+            creep[rows[hit_creep]] = True
+            times[rows[hit_jump]] = t_now + dt
+            sides[rows[hit_jump]] = DOWN
+            pos[rows[hit_jump]] = x_post[hit_jump]
+            keep = (~hit_up) & (~hit_creep) & (~hit_jump)
+            x = x_post[keep]
+            live = live[keep]
+        idx = idx[live]
+        step += k
+    return dict(times=times, sides=sides, pos=pos, creep=creep, xi=xi_acc,
+                hist=hist.sum(axis=0), hist_sq=(hist ** 2).sum(axis=0))
+
+
+# (fixture, bridge, kernel options); reflection rewrites the Skorokhod
+# recursion as a running maximum, so its floating-point sums may differ
+# from the recursion's by rounding: 1e-12 absolute there, bit-identical
+# everywhere else
+REFLECTED_ATOL = 1e-12
+KERNEL_CASES = {
+    "plain_jump_diffusion_hist": ("jump_diffusion", True, dict(n_bins=30)),
+    "plain_tempered_stable": ("tempered_stable", True, {}),
+    "plain_cramer_lundberg": ("cramer_lundberg", True, {}),
+    "plain_brownian_no_bridge": ("brownian", False, {}),
+    "reflected_bridge_hist": ("jump_diffusion", True, dict(reflect=True, n_bins=30)),
+    "reflected_no_bridge": ("jump_diffusion", False, dict(reflect=True)),
+    "refracted_hist": ("jump_diffusion", True,
+                       dict(delta=0.15, refract_level=1.0, n_bins=30)),
+    "refracted_cramer_lundberg": ("cramer_lundberg", True,
+                                  dict(delta=0.15, refract_level=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_blocked_kernel_matches_per_step_recursion(catalog, case):
+    name, bridge, opts = KERNEL_CASES[case]
+    scheme = SimScheme(dt=2e-3, seed=21, horizon=6.0, bridge=bridge)
+    kernel = mc._Kernel(catalog[name], A, B, X0, scheme, 0.05, **opts)
+    n = 600
+
+    def stream():
+        return np.random.Generator(np.random.Philox(key=21, counter=[0, 0, 0, 0]))
+
+    new = kernel.run(stream(), n)
+    ref = reference_run(kernel, stream(), n)
+    assert np.count_nonzero(ref["sides"] != CAPPED) > n // 2
+    assert np.array_equal(new["sides"], ref["sides"])
+    assert np.array_equal(new["creep"], ref["creep"])
+    assert np.array_equal(new["times"], ref["times"])
+    floats = [("pos", new["pos"], ref["pos"])]
+    if kernel.n_bins:
+        floats += [("hist", new["hist"], ref["hist"]),
+                   ("hist_sq", new["hist_sq"], ref["hist_sq"])]
+    if kernel.reflect:
+        floats.append(("xi", new["xi"], ref["xi"]))
+        assert np.any(ref["xi"] > 0.0)
+        for label, got, want in floats:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=REFLECTED_ATOL,
+                                       err_msg=label)
+    else:
+        for label, got, want in floats:
+            assert np.array_equal(got, want, equal_nan=True), label

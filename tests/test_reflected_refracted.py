@@ -11,6 +11,7 @@ from levyfluct import (ClosedFormProvider, ExitProblem, ModelError,
                        brownian_motion, extend_penalty,
                        overshoot_functional_general, reflected_overshoot,
                        refracted_overshoot, simulate_reflected, simulate_refracted)
+from levyfluct.models import LevyTriplet, exponential_jumps, no_jumps
 from levyfluct.montecarlo import DOWN
 
 ONE = lambda y: 1.0
@@ -231,3 +232,24 @@ def test_refracted_boundary_start_rejected(catalog):
     p1 = extend_penalty(ONE, 0.0, 2.0, "constant_one")
     with pytest.raises(UnsupportedCaseError):
         refracted_overshoot(p1, spec, provider)
+
+
+def test_provider_cache_keys_on_model_parameters():
+    # equal parameters share one entry even as distinct objects; a change in
+    # any single parameter, or in the jump family, gets its own entry
+    provider = MonteCarloProvider(scheme=SimScheme(dt=4e-3, seed=9), n_paths=200,
+                                  n_bins=20)
+
+    def spec(gamma=0.3, sigma=0.6, measure=None):
+        measure = measure if measure is not None else exponential_jumps(0.8, 1.5)
+        model = LevyTriplet(gamma=gamma, sigma=sigma, measure=measure)
+        return ReflectedSpec(model=model, b=2.0, a=0.0, q=0.1, x=1.0)
+
+    first = provider.reflected(spec())
+    assert provider.reflected(spec()) is first
+    assert len(provider._cache) == 1
+    for kw in (dict(gamma=0.31), dict(sigma=0.61),
+               dict(measure=exponential_jumps(0.81, 1.5)),
+               dict(measure=exponential_jumps(0.8, 1.51)), dict(measure=no_jumps())):
+        assert provider.reflected(spec(**kw)) is not first
+    assert len(provider._cache) == 6

@@ -116,6 +116,9 @@ def _mc_settings(spec, args):
     if args.seed is not None:
         block["seed"] = args.seed
     paths = int(block.get("paths", 20_000))
+    if paths < 2:
+        # one path has no standard error, and none has no estimate
+        raise SpecError(f"need at least 2 paths, got {paths}", field="mc.paths")
     scheme = mc.SimScheme(
         dt=float(block.get("dt", 1e-3)),
         eps=float(block.get("eps", 1e-3)),

@@ -9,10 +9,9 @@ removes the dominant discretisation bias of first-passage estimates.
 
 Paths are stepped in time blocks.  Each block draws k steps of variates for
 the m paths still alive, k = max(1, CELLS // m), so every block holds about
-CELLS path-steps whatever the alive count.  Positions come from one
-cumulative sum along each path when the block is long (few paths), and from
-a step-at-a-time walk across paths when it is short or the drift is the
-state-dependent refracted one; both add in the per-step order.  The
+CELLS path-steps whatever the alive count.  Positions are a running sum
+along each path of the interleaved increments, in the per-step order: one
+cumsum, or a row at a time for the state-dependent refracted drift.  The
 reflection regulator is a running maximum and each path's first exit an
 argmax over the block.  Paths with no exit carry their last position into
 the next block.
@@ -39,7 +38,6 @@ from .errors import ModelError
 
 CAPPED_FLAG_LEVEL = 1e-3
 CELLS = 8192      # variate cells (paths x steps) drawn per block
-ROW_STEPS = 32    # blocks up to this many steps are walked a step at a time
 
 
 def thread_count():
@@ -167,9 +165,10 @@ class _JumpKit:
             self.lam = float(measure.tail(self.eps_eff))
             self.alpha = measure.params["alpha"]
             self.rho = measure.params["rho"]
-            # acceptance rate of the Pareto proposal: tempered over Pareto mass above eps
-            self.accept = (self.lam * self.alpha * self.eps_eff ** self.alpha
-                           * math.exp(self.rho * self.eps_eff) / measure.params["c"])
+            # acceptance rate of the Pareto proposal: the tempered mass above eps
+            # over the envelope's, eps * density(eps) / alpha
+            self.accept = (self.lam * self.alpha
+                           / (self.eps_eff * float(measure.density(self.eps_eff))))
         elif fam == "table":
             lo = measure.params["theta"][0]
             self.eps_eff = max(scheme.eps, lo) if scheme.eps > lo else lo
@@ -194,12 +193,7 @@ class _JumpKit:
         """Sum of jump sizes per path, given per-path Poisson counts."""
         fam = self.measure.family
         if fam == "exponential":
-            # gamma with shape 0 is 0 without a draw: skipping those cells
-            # leaves the stream and the totals unchanged
-            out = np.zeros(counts.size)
-            hit = np.flatnonzero(counts)
-            out[hit] = rng.gamma(counts[hit].astype(float), 1.0 / self.rho)
-            return out
+            return rng.gamma(counts.astype(float), 1.0 / self.rho)
         total = int(counts.sum())
         if total == 0:
             return np.zeros(counts.size)
@@ -315,18 +309,16 @@ class _Kernel:
         """Variates in a fixed order: Gaussians, Poisson counts, jump totals, uniforms.
 
         Each is drawn path by path (k steps of path 0, then of path 1, ...)
-        and stored steps-major, (k, m), for the step-by-step arithmetic.
+        and returned as a (k, m) transposed view.
         """
-        def steps_major(a):
-            return np.ascontiguousarray(a.reshape(m, k).T)
-
-        z = steps_major(rng.standard_normal(m * k)) if self.sig_eff > 0.0 else None
+        shape = (m, k)
+        z = rng.standard_normal(shape).T if self.sig_eff > 0.0 else None
         jumps = None
         if self.lam_dt > 0.0:
             counts = rng.poisson(self.lam_dt, m * k)
-            jumps = steps_major(self.kit.path_totals(rng, counts))
-        u = steps_major(rng.random(m * k)) if self.use_bridge else None
-        u_sup = steps_major(rng.random(m * k)) if self.use_bridge and self.reflect else None
+            jumps = self.kit.path_totals(rng, counts).reshape(shape).T
+        u = rng.random(shape).T if self.use_bridge else None
+        u_sup = rng.random(shape).T if self.use_bridge and self.reflect else None
         return _Block(k, z, jumps, u, u_sup)
 
     def run(self, rng, nb):
@@ -365,44 +357,38 @@ class _Kernel:
         return out
 
     def _walk(self, x, blk):
-        """Positions at each step's start, after its continuous part and after its jumps."""
+        """Positions at each step's start, after its continuous part and after its jumps.
+
+        Each step adds x + drift dt + sigma sqrt(dt) z - J in that order, as a
+        running sum down the interleaved rows [x, drift dt, sigma sqrt(dt) z_1,
+        -J_1, drift dt, ...].
+        """
         m, k = x.size, blk.k
         dt = self.dt
-        sz = self.sig_eff * math.sqrt(dt) * blk.z if blk.z is not None else None
-        if k > ROW_STEPS and self.refract_level is None:
-            # few paths, many steps: interleaved increments [x, drift dt,
-            # sigma sqrt(dt) z_1, -J_1, drift dt, ...] in one cumsum, which adds
-            # left to right, so each step rounds as x + drift dt + sz - J
-            parts = [p for p in (sz, None if blk.jumps is None else -blk.jumps)
-                     if p is not None]
-            n = 1 + len(parts)
-            cols = np.empty((1 + n * k, m))
-            cols[0] = x
-            cols[1::n] = self.drift0 * dt
-            for i, p in enumerate(parts):
-                cols[2 + i::n] = p
-            path = np.cumsum(cols, axis=0)
-            ends = path[::n]
-            pre = path[1 + (sz is not None)::n] if blk.jumps is not None else ends[1:]
-            return ends[:-1], pre, ends[1:]
-        # many paths, few steps: the same additions a step at a time across paths;
-        # the refracted drift (drift0 - delta * 1{x > c}) dt takes one of two values
-        if self.refract_level is not None:
-            above, below = (self.drift0 - self.delta) * dt, self.drift0 * dt
-        start, pre, post = np.empty((3, k, m))
-        for j in range(k):
-            start[j] = x
-            if self.refract_level is not None:
-                x = np.add(x, np.where(x > self.refract_level, above, below), out=pre[j])
-            else:
-                x = np.add(x, self.drift0 * dt, out=pre[j])
-            if sz is not None:
-                x = np.add(x, sz[j], out=pre[j])
-            if blk.jumps is not None:
-                x = np.subtract(x, blk.jumps[j], out=post[j])
-            else:
-                post[j] = x
-        return start, pre, post
+        parts = []
+        if blk.z is not None:
+            parts.append(self.sig_eff * math.sqrt(dt) * blk.z)
+        if blk.jumps is not None:
+            parts.append(-blk.jumps)
+        n = 1 + len(parts)
+        path = np.empty((1 + n * k, m))
+        path[0] = x
+        path[1::n] = self.drift0 * dt
+        for i, p in enumerate(parts):
+            path[2 + i::n] = p
+        if self.refract_level is None:
+            np.cumsum(path, axis=0, out=path)
+        else:
+            # the refracted drift (drift0 - delta 1{x > c}) dt needs each
+            # step's start position, so add a row at a time
+            above = (self.drift0 - self.delta) * dt
+            for r in range(1, path.shape[0]):
+                if (r - 1) % n == 0:
+                    path[r] = np.where(path[r - 1] > self.refract_level, above, path[r])
+                np.add(path[r - 1], path[r], out=path[r])
+        ends = path[::n]
+        pre = path[n - 1::n] if blk.jumps is not None else ends[1:]
+        return ends[:-1], pre, ends[1:]
 
     def _regulate(self, start, pre, post, u_sup):
         """Skorokhod map at b: the regulator is the running max of step suprema minus b."""
@@ -418,16 +404,8 @@ class _Kernel:
         return start - before, pre - reg, post - reg, reg - before
 
     def _bridge_prob(self, gap0, gap1):
-        """Bridge crossing probability exp(-2 gap0+ gap1+ / (sigma^2 dt)).
-
-        Arguments below -746 give exactly 0.0, so exp runs only on the others:
-        numpy's exp is many times slower on arguments that underflow.
-        """
-        arg = -2.0 * np.maximum(gap0, 0.0) * np.maximum(gap1, 0.0) / self.sig2dt
-        out = np.zeros_like(arg)
-        live = np.flatnonzero(arg > -746.0)
-        out.flat[live] = np.exp(arg.flat[live])
-        return out
+        """Bridge crossing probability exp(-2 gap0+ gap1+ / (sigma^2 dt))."""
+        return np.exp(-2.0 * np.maximum(gap0, 0.0) * np.maximum(gap1, 0.0) / self.sig2dt)
 
     def advance(self, x, step, blk):
         """First exits of the paths started at ``x`` over the block ``blk``."""

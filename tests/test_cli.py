@@ -97,6 +97,17 @@ def test_mc_reproducible(tmp_path):
     assert set(payload) == {"mean", "stderr", "n_paths", "capped_fraction"}
 
 
+@pytest.mark.parametrize("paths", [0, 1])
+def test_mc_too_few_paths_is_spec_error(tmp_path, capsys, paths):
+    spec = write_spec(tmp_path, "mc.json", {
+        "model": JD_MODEL,
+        "penalty": {"f": "1"},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0,
+        "mc": {"paths": 3000, "seed": 12}})
+    assert run(["mc", "--spec", spec, "--paths", str(paths)]) == 2
+    assert "mc.paths" in capsys.readouterr().err
+
+
 def test_compare_routes(tmp_path):
     spec = write_spec(tmp_path, "cmp.json", {
         "model": JD_MODEL,

@@ -443,6 +443,7 @@ KERNEL_CASES = {
                        dict(delta=0.15, refract_level=1.0, n_bins=30)),
     "refracted_cramer_lundberg": ("cramer_lundberg", True,
                                   dict(delta=0.15, refract_level=1.0)),
+    "refracted_pure_drift": ("pure_drift", True, dict(delta=0.15, refract_level=1.0)),
 }
 
 
@@ -450,7 +451,8 @@ KERNEL_CASES = {
 def test_blocked_kernel_matches_per_step_recursion(catalog, case):
     name, bridge, opts = KERNEL_CASES[case]
     scheme = SimScheme(dt=2e-3, seed=21, horizon=6.0, bridge=bridge)
-    kernel = mc._Kernel(catalog[name], A, B, X0, scheme, 0.05, **opts)
+    models = dict(catalog, pure_drift=LevyTriplet(gamma=0.8, sigma=0.0, measure=no_jumps()))
+    kernel = mc._Kernel(models[name], A, B, X0, scheme, 0.05, **opts)
     n = 600
 
     def stream():

@@ -19,8 +19,8 @@ import numpy as np
 from . import identities as idn
 from . import montecarlo as mc
 from . import reflected_refracted as rr
-from .errors import (ConditionNotMetError, HypothesisViolationError, LevyFluctError,
-                     ModelError, NumericalAccuracyError, RootFindingError, SpecError,
+from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
+                     NumericalAccuracyError, RootFindingError, SpecError,
                      UnsupportedCaseError)
 from .expressions import compile_expression
 from .generator import ExtensionRecipe, check_membership, extend_penalty
@@ -48,9 +48,7 @@ def _emit(payload_json, payload_rows, args):
         text = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in payload_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(payload_rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -91,10 +89,14 @@ def _penalty_callable(f_spec, sf):
                     field="penalty.f")
 
 
+def _penalty_f(spec, sf):
+    """The penalty f of the spec's ``penalty.f`` field."""
+    return _penalty_callable(_require(_require(spec, "penalty"), "f", "penalty"), sf)
+
+
 def _build_penalty(spec, prob, sf):
-    pen_spec = _require(spec, "penalty")
-    f = _penalty_callable(_require(pen_spec, "f", "penalty"), sf)
-    ext = pen_spec.get("extension", {"kind": "constant_one"})
+    f = _penalty_f(spec, sf)
+    ext = spec["penalty"].get("extension", {"kind": "constant_one"})
     kind = _require(ext, "kind", "penalty.extension")
     if kind == "custom":
         expr = _require(ext, "expr", "penalty.extension")
@@ -155,8 +157,7 @@ def _evaluate_route(formula, penalty, sf, prob, spec):
     if formula == "simple":
         return idn.overshoot_functional_simple(penalty, sf, prob, membership=membership)
     if formula == "zero_extension":
-        f = _penalty_callable(_require(_require(spec, "penalty"), "f", "penalty"), sf)
-        return idn.overshoot_zero_extension(f, sf, prob)
+        return idn.overshoot_zero_extension(_penalty_f(spec, sf), sf, prob)
     raise SpecError(f"unknown formula {formula!r}", field="formula")
 
 
@@ -178,6 +179,8 @@ def cmd_scale(args):
     xs = np.linspace(float(_require(grid, "start", "grid")),
                      float(_require(grid, "stop", "grid")),
                      int(_require(grid, "n", "grid")))
+    if xs.size == 0:
+        raise SpecError("grid needs n >= 1 points", field="grid")
     if np.any(xs <= 0):
         raise SpecError("grid points must be positive", field="grid")
     sf = ScaleFunction(model, q, x_max=float(xs[-1]) + 1.0)
@@ -196,8 +199,7 @@ def cmd_scale(args):
 def cmd_mc(args):
     spec = _load_spec(args.spec)
     model, prob, sf = _build_problem(spec)
-    pen_spec = _require(spec, "penalty")
-    f = _penalty_callable(_require(pen_spec, "f", "penalty"), sf)
+    f = _penalty_f(spec, sf)
     scheme, paths = _mc_settings(spec, args)
     est = mc.estimate_overshoot_functional(model, f, prob.a, prob.b, prob.q,
                                            prob.x, scheme, paths)
@@ -212,16 +214,14 @@ def cmd_mc(args):
 def cmd_compare(args):
     spec = _load_spec(args.spec)
     model, prob, sf = _build_problem(spec)
-    pen_spec = _require(spec, "penalty")
-    f = _penalty_callable(_require(pen_spec, "f", "penalty"), sf)
+    f = _penalty_f(spec, sf)
     tol = args.tol if args.tol is not None else 1e-6
 
-    routes = {}
-    for kind in ("zero", "constant_one", "affine_at_a"):
-        penalty = extend_penalty(f, prob.a, prob.b, ExtensionRecipe(kind=kind))
-        val = idn.overshoot_functional_general(penalty, sf, prob)
-        routes[f"general[{kind}]"] = val.value
-    penalty = extend_penalty(f, prob.a, prob.b, ExtensionRecipe(kind="constant_one"))
+    penalties = {kind: extend_penalty(f, prob.a, prob.b, kind)
+                 for kind in ("zero", "constant_one", "affine_at_a")}
+    routes = {f"general[{kind}]": idn.overshoot_functional_general(p, sf, prob).value
+              for kind, p in penalties.items()}
+    penalty = penalties["constant_one"]
     membership = check_membership(penalty, model)
     if membership.simple_form_admissible:
         routes["simple"] = idn.overshoot_functional_simple(
@@ -257,11 +257,7 @@ def cmd_compare(args):
 
 def _modified_common(args, refracted):
     spec = _load_spec(args.spec)
-    model = model_from_dict(_require(spec, "model"))
-    a = float(_require(spec, "a"))
-    b = float(_require(spec, "b"))
-    q = float(_require(spec, "q"))
-    x = float(_require(spec, "x"))
+    model, prob, sf = _build_problem(spec)
     provider_name = spec.get("provider", "mc")
     if provider_name == "closed_form":
         raise SpecError("the closed_form provider takes user-supplied formula "
@@ -271,19 +267,8 @@ def _modified_common(args, refracted):
         raise SpecError(f"unknown provider {provider_name!r}", field="provider")
     scheme, paths = _mc_settings(spec, args)
     provider = rr.MonteCarloProvider(scheme=scheme, n_paths=paths)
-    sf = ScaleFunction(model, q, x_max=max(10.0, b + 1.0))
-    pen_spec = _require(spec, "penalty")
-    f = _penalty_callable(_require(pen_spec, "f", "penalty"), sf)
-    ext = pen_spec.get("extension", {"kind": "constant_one"})
-    kind = _require(ext, "kind", "penalty.extension")
-    if kind == "custom":
-        recipe = ExtensionRecipe(kind="custom", f_tilde=compile_expression(
-            _require(ext, "expr", "penalty.extension"), w=sf.w))
-    elif kind == "scale_function":
-        recipe = ExtensionRecipe(kind="scale_function", scale=sf)
-    else:
-        recipe = ExtensionRecipe(kind=kind, slope=ext.get("slope"))
-    penalty = extend_penalty(f, a, b, recipe)
+    penalty = _build_penalty(spec, prob, sf)
+    a, b, q, x = prob.a, prob.b, prob.q, prob.x
     if refracted:
         rspec = rr.RefractedSpec(model=model, delta=float(_require(spec, "delta")),
                                  c=float(_require(spec, "c")), a=a, b=b, q=q, x=x)
@@ -337,9 +322,6 @@ def main(argv=None):
         return 3
     except _SPEC_ERRORS as exc:
         print(f"spec error: {exc}", file=sys.stderr)
-        return 2
-    except LevyFluctError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

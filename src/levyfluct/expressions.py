@@ -92,10 +92,4 @@ def compile_expression(text, w=None):
             raise SpecError(f"unknown function {name!r}", field="expr")
         raise SpecError(f"disallowed syntax {type(node).__name__}", field="expr")
 
-    fn = build(tree)
-
-    def penalty(y):
-        out = fn(y)
-        return out
-
-    return penalty
+    return build(tree)

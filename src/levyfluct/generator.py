@@ -22,11 +22,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
-                     NumericalAccuracyError)
+from .errors import ConditionNotMetError, ModelError, NumericalAccuracyError
 from .quadrature import quad, quad_log
 
 _LARGE = 1e8
+# membership spot checks: grid on (a, b], continuity tolerance, and the tail
+# check's jump-size threshold lambda = TAIL_FACTOR * (b - a) and start points
+MEMBERSHIP_GRID = 1024
+MEMBERSHIP_TOL = 1e-6
+TAIL_FACTOR = 1.5
+TAIL_POINTS = 64
+# jump sizes below this go through the Taylor panel h''(x)/2 int th^2 Pi(dth)
+SMALL_CUT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,15 +67,14 @@ class ExtendedPenalty:
     f: Callable
     f_tilde: Callable
     f_tilde_left_deriv: Callable
-    f_tilde_second: Optional[Callable]
+    f_tilde_second: Callable
     right_limit_at_a: float
     f_at_a: float
     continuous_at_a: bool
     smooth_junction: bool          # bounded density of h in a two-sided neighbourhood of a
     deriv_bound: float
-    second_bound: Optional[float]
+    second_bound: float
     kinks: tuple = ()              # y-locations where h is not smooth (quadrature breaks)
-    tail_lambda: Optional[float] = None
     recipe: str = "custom"
     # optional exact form of f~(x-th) - f~(x) + f~'(x) th for x-th still above a;
     # kills catastrophic cancellation against singular jump densities
@@ -98,7 +104,7 @@ def _grid_bound(func, lo, hi, n=257):
     return float(np.max(vals))
 
 
-def extend_penalty(f, a, b, recipe, f_kinks=(), tail_lambda=None):
+def extend_penalty(f, a, b, recipe, f_kinks=()):
     """Build an ExtendedPenalty from a penalty callable and a recipe.
 
     ``f_kinks`` lists non-smooth points of the penalty itself (e.g. 0 for a
@@ -110,26 +116,18 @@ def extend_penalty(f, a, b, recipe, f_kinks=(), tail_lambda=None):
         recipe = ExtensionRecipe(kind=recipe)
     f_at_a = float(f(a))
     kind = recipe.kind
-    second = None
     comp_diff = None
-    if kind == "zero":
-        f_tilde = lambda y: 0.0
-        deriv = lambda y: 0.0
-        second = lambda y: 0.0
-        right_limit = 0.0
-        comp_diff = lambda x, th: 0.0
-    elif kind == "constant_one":
-        f_tilde = lambda y: 1.0
-        deriv = lambda y: 0.0
-        second = lambda y: 0.0
-        right_limit = 1.0
-        comp_diff = lambda x, th: 0.0
-    elif kind == "affine_at_a":
-        slope = recipe.slope if recipe.slope is not None else _left_slope(f, a)
-        f_tilde = lambda y: slope * y + f_at_a
+    if kind in ("zero", "constant_one", "affine_at_a"):
+        # the affine extensions slope * y + level
+        if kind == "affine_at_a":
+            slope = recipe.slope if recipe.slope is not None else _left_slope(f, a)
+            level = f_at_a
+        else:
+            slope, level = 0.0, (1.0 if kind == "constant_one" else 0.0)
+        f_tilde = lambda y: slope * y + level
         deriv = lambda y: slope
         second = lambda y: 0.0
-        right_limit = slope * a + f_at_a
+        right_limit = slope * a + level
         comp_diff = lambda x, th: 0.0
     elif kind == "scale_function":
         sf = recipe.scale
@@ -164,7 +162,7 @@ def extend_penalty(f, a, b, recipe, f_kinks=(), tail_lambda=None):
     smooth_junction = bool(continuous and abs(left) < _LARGE and abs(right) < _LARGE)
 
     deriv_bound = _grid_bound(deriv, a, b)
-    second_bound = _grid_bound(second, a, b) if second is not None else None
+    second_bound = _grid_bound(second, a, b)
     kinks = tuple(sorted(set(float(k) for k in f_kinks)
                          | ({a} if not continuous else set())))
     return ExtendedPenalty(
@@ -172,7 +170,7 @@ def extend_penalty(f, a, b, recipe, f_kinks=(), tail_lambda=None):
         f_tilde_second=second, right_limit_at_a=right_limit, f_at_a=f_at_a,
         continuous_at_a=continuous, smooth_junction=smooth_junction,
         deriv_bound=deriv_bound, second_bound=second_bound, kinks=kinks,
-        tail_lambda=tail_lambda, recipe=kind, compensated_diff=comp_diff)
+        recipe=kind, compensated_diff=comp_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,7 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-def check_membership(penalty, model, grid_n=1024, tol=1e-6, tail_points=64):
+def check_membership(penalty, model):
     """Numerical spot checks of the regularity class and Corollary conditions.
 
     Advisory by design: the conditions are analytic and cannot be decided
@@ -222,7 +220,7 @@ def check_membership(penalty, model, grid_n=1024, tol=1e-6, tail_points=64):
     """
     a, b = penalty.a, penalty.b
     rep = MembershipReport()
-    ys = np.linspace(a, b, grid_n + 1)[1:]
+    ys = np.linspace(a, b, MEMBERSHIP_GRID + 1)[1:]
     vals = np.array([float(penalty.f_tilde(y)) for y in ys])
     rep.items.append(CheckItem("locally_bounded", bool(np.all(np.isfinite(vals))),
                                float(np.max(np.abs(vals))),
@@ -231,16 +229,14 @@ def check_membership(penalty, model, grid_n=1024, tol=1e-6, tail_points=64):
     probe = ys[:-1]
     jumps = np.array([abs(float(penalty.f_tilde(y + delta)) - float(penalty.f_tilde(y)))
                       for y in probe])
-    jump_tol = max(tol, 10.0 * (1.0 + penalty.deriv_bound) * delta)
+    jump_tol = max(MEMBERSHIP_TOL, 10.0 * (1.0 + penalty.deriv_bound) * delta)
     rep.items.append(CheckItem("continuous_on_ab", bool(np.max(jumps) <= jump_tol),
                                float(np.max(jumps)),
                                f"max grid jump {np.max(jumps):.3g} (tol {jump_tol:.3g})"))
 
-    lam = penalty.tail_lambda if penalty.tail_lambda is not None else 1.5 * (b - a)
-    if lam <= b - a:
-        raise HypothesisViolationError("tail-check lambda must exceed b - a")
-    xs = np.linspace(a, b, tail_points + 2)[1:-1]
-    tails = np.empty(tail_points)
+    lam = TAIL_FACTOR * (b - a)
+    xs = np.linspace(a, b, TAIL_POINTS + 2)[1:-1]
+    tails = np.empty(TAIL_POINTS)
     dens = model.measure.density
     for i, x in enumerate(xs):
         v1, _ = quad(lambda t: float(penalty.f(x - t)) * float(dens(t)), lam, lam + 30.0,
@@ -255,15 +251,10 @@ def check_membership(penalty, model, grid_n=1024, tol=1e-6, tail_points=64):
 
     unbounded = _models.path_variation(model) == "unbounded"
     if unbounded:
-        if penalty.f_tilde_second is None:
-            rep.items.append(CheckItem("second_derivative_bounded", False, math.inf,
-                                       "unbounded variation requires a density of h'"))
-        else:
-            sb = penalty.second_bound if penalty.second_bound is not None else \
-                _grid_bound(penalty.f_tilde_second, a, b)
-            rep.items.append(CheckItem("second_derivative_bounded",
-                                       bool(math.isfinite(sb) and sb < _LARGE), sb,
-                                       f"sup |h''| on grid = {sb:.4g}"))
+        sb = penalty.second_bound
+        rep.items.append(CheckItem("second_derivative_bounded",
+                                   bool(math.isfinite(sb) and sb < _LARGE), sb,
+                                   f"sup |h''| on grid = {sb:.4g}"))
     else:
         dgrid = np.array([float(penalty.f_tilde_left_deriv(y)) for y in ys[:-1]])
         tv = float(np.sum(np.abs(np.diff(dgrid))))
@@ -291,12 +282,12 @@ def check_membership(penalty, model, grid_n=1024, tol=1e-6, tail_points=64):
 # generator evaluation
 # ---------------------------------------------------------------------------
 
-def apply_generator(penalty, model, q, x, small_cut=1e-5):
+def apply_generator(penalty, model, q, x):
     """(A - q) applied to the extension at x in (a, b).
 
     The jump integral is split at the Taylor-compensated region near 0, at
     every kink image x - k, at the penalty/extension branch switch x - a and
-    at the compensation cutoff 1; the [0, small_cut] panel is summed as
+    at the compensation cutoff 1; the [0, SMALL_CUT] panel is summed as
     h''(x)/2 * int th^2 Pi(dth) when the measure has infinite activity.
     """
     a, b = penalty.a, penalty.b
@@ -307,8 +298,6 @@ def apply_generator(penalty, model, q, x, small_cut=1e-5):
     hpx = float(penalty.f_tilde_left_deriv(x))
     val = model.gamma * hpx - q * hx
     if model.sigma > 0.0:
-        if penalty.f_tilde_second is None:
-            raise ModelError("sigma > 0 requires a second-derivative version")
         val += 0.5 * model.sigma ** 2 * float(penalty.f_tilde_second(x))
     if meas.family == "none":
         return val
@@ -335,12 +324,8 @@ def apply_generator(penalty, model, q, x, small_cut=1e-5):
                 nearest = min(nearest, x - k)
         # the extension is smooth up to the first break, so the Taylor panel
         # may run all the way to it when that is closer than the default cut
-        cut = min(small_cut, nearest)
-        if penalty.f_tilde_second is not None:
-            h2x = float(penalty.f_tilde_second(x))
-        else:
-            step = min(1e-5 * (b - a), 0.25 * nearest)
-            h2x = _numeric_second(penalty.f_tilde, x, step)
+        cut = min(SMALL_CUT, nearest)
+        h2x = float(penalty.f_tilde_second(x))
         total += 0.5 * h2x * meas.squared_mass_below(cut)
         lo = cut
 
@@ -372,6 +357,11 @@ def apply_generator(penalty, model, q, x, small_cut=1e-5):
         raise NumericalAccuracyError("generator jump integral did not converge",
                                      achieved=toterr)
     return out
+
+
+def generator_closure(penalty, model, q):
+    """z -> (A - q) h(z); looks ``apply_generator`` up in this module at each call."""
+    return lambda z: apply_generator(penalty, model, q, z)
 
 
 def require_simple_form(report):

@@ -20,9 +20,13 @@ import numpy as np
 from . import models as _models
 from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      NumericalAccuracyError)
-from .generator import apply_generator, check_membership, require_simple_form
+from .generator import (TAIL_FACTOR, check_membership, generator_closure,
+                        require_simple_form)
 from .quadrature import quad, quad_log, quad_singular_left
 from .scale import ScaleFunction
+
+# a resolvent density below -RESOLVENT_FLOOR is a numerical failure, not roundoff
+RESOLVENT_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,12 +39,7 @@ class ExitProblem:
     x: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ModelError("need a < b")
-        if not (self.a <= self.x <= self.b):
-            raise ModelError("need a <= x <= b")
-        if self.q < 0:
-            raise ModelError("need q >= 0")
+        _models.check_exit(self.a, self.b, self.q, self.x)
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,16 @@ class GerberShiuValue:
 
 def two_sided_exit_up(sf, prob):
     """E_x[e^{-q tau_b^+} 1{tau_b^+ < tau_a^-}] = W(x-a)/W(b-a)."""
-    if prob.x < prob.a:
-        return 0.0
     return float(sf.w(prob.x - prob.a) / sf.w(prob.b - prob.a))
 
 
-def resolvent_density(sf, prob, z, tolerance=1e-9):
+def resolvent_density(sf, prob, z):
     """Density of the killed q-resolvent at z in [a, b], clamped to >= 0."""
     a, b, x = prob.a, prob.b, prob.x
     if not (a <= z <= b):
         raise ModelError("resolvent density is supported on [a, b]")
     val = float(sf.w(x - a) * sf.w(b - z) / sf.w(b - a) - sf.w(x - z))
-    if val < -max(tolerance, 1e-12):
+    if val < -RESOLVENT_FLOOR:
         raise NumericalAccuracyError("resolvent density came out negative", achieved=-val)
     return max(val, 0.0)
 
@@ -116,15 +113,10 @@ def _resolvent_integral(sf, prob, G, kinks=()):
         return G(z) * u
 
     pts = sorted(k for k in kinks if a < k < b)
-    err = 0.0
-    if x < b:
-        v1, e1 = quad_singular_left(integrand, a, x, points=pts)
-        v2, e2 = quad(integrand, x, b, points=pts)
-        err = e1 + e2
-        total = v1 + v2
-    else:
-        total, err = quad_singular_left(integrand, a, b, points=pts)
-    return total, err
+    # at x = b the second panel is empty and adds exact zeros
+    v1, e1 = quad_singular_left(integrand, a, x, points=pts)
+    v2, e2 = quad(integrand, x, b, points=pts)
+    return v1 + v2, e1 + e2
 
 
 def _scale_weighted_integral(sf, G, a, hi, kinks=()):
@@ -155,29 +147,35 @@ def _check_alignment(penalty, prob):
         raise ModelError("penalty extension and exit problem use different intervals")
 
 
+def _identity_setup(penalty, sf, prob, membership, name):
+    """Checks and terms shared by the general and simple identities.
+
+    Returns the membership report (computed when not given), the ratio
+    W(x-a)/W(b-a) and the boundary term f~(x) - ratio * f~(b).
+    """
+    _check_alignment(penalty, prob)
+    a, b, x = prob.a, prob.b, prob.x
+    if not a < x <= b:
+        raise ModelError(f"{name} identity needs a < x <= b; use boundary_start at x = a")
+    if membership is None:
+        membership = check_membership(penalty, sf.model)
+    ratio = float(sf.w(x - a) / sf.w(b - a))
+    boundary = float(penalty.f_tilde(x)) - ratio * float(penalty.f_tilde(b))
+    return membership, ratio, boundary
+
+
 def overshoot_functional_general(penalty, sf, prob, membership=None, override=False):
     """The general identity: extension + resolvent integral + creeping correction.
 
     Valid for any admissible extension; requires a < x <= b (x = a is a
     genuinely different case, see ``boundary_start``).
     """
-    _check_alignment(penalty, prob)
-    a, b, q, x = prob.a, prob.b, prob.q, prob.x
-    if not a < x <= b:
-        raise ModelError("general identity needs a < x <= b; use boundary_start at x = a")
-    model = sf.model
-    if membership is None:
-        membership = check_membership(penalty, model)
+    membership, ratio, boundary = _identity_setup(penalty, sf, prob, membership, "general")
     if membership.membership_unverified and not override:
         raise ConditionNotMetError(
             "membership is analytically unverified for this case; pass override=True")
 
-    ratio = float(sf.w(x - a) / sf.w(b - a))
-    boundary = float(penalty.f_tilde(x)) - ratio * float(penalty.f_tilde(b))
-
-    def G(z):
-        return apply_generator(penalty, model, q, z)
-
+    G = generator_closure(penalty, sf.model, prob.q)
     integral, quad_err = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
     creep = (penalty.f_at_a - penalty.right_limit_at_a) * creeping_transform(sf, prob)
     scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
@@ -195,13 +193,7 @@ def overshoot_functional_simple(penalty, sf, prob, membership=None, override=Fal
     Splits the resolvent integral into two scale-weighted pieces; the
     creeping correction vanishes under each admissibility condition.
     """
-    _check_alignment(penalty, prob)
-    a, b, q, x = prob.a, prob.b, prob.q, prob.x
-    if not a < x <= b:
-        raise ModelError("simple identity needs a < x <= b; use boundary_start at x = a")
-    model = sf.model
-    if membership is None:
-        membership = check_membership(penalty, model)
+    membership, ratio, boundary = _identity_setup(penalty, sf, prob, membership, "simple")
     note = ""
     if not override:
         require_simple_form(membership)
@@ -209,13 +201,10 @@ def overshoot_functional_simple(penalty, sf, prob, membership=None, override=Fal
     elif membership.membership_unverified:
         note = "membership unverified, override"
 
-    def G(z):
-        return apply_generator(penalty, model, q, z)
-
+    a, b, x = prob.a, prob.b, prob.x
+    G = generator_closure(penalty, sf.model, prob.q)
     i_x, err_x = _scale_weighted_integral(sf, G, a, x, kinks=penalty.kinks)
     i_b, err_b = _scale_weighted_integral(sf, G, a, b, kinks=tuple(penalty.kinks) + (x,))
-    ratio = float(sf.w(x - a) / sf.w(b - a))
-    boundary = float(penalty.f_tilde(x)) - ratio * float(penalty.f_tilde(b))
     integral = -i_x + ratio * i_b
     scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
     return GerberShiuValue(
@@ -225,18 +214,17 @@ def overshoot_functional_simple(penalty, sf, prob, membership=None, override=Fal
         condition_note=note)
 
 
-def overshoot_zero_extension(f, sf, prob, tail_lambda=None):
+def overshoot_zero_extension(f, sf, prob):
     """The zero-extension form: jump-tail convolution against the resolvent.
 
     E_x[...] = int_a^b int_{z-a}^inf f(z-th) Pi(dth) u(x, z) dz
                + f(a) * creeping_transform.
     """
-    a, b, q, x = prob.a, prob.b, prob.q, prob.x
+    a, b, x = prob.a, prob.b, prob.x
     if not a < x <= b:
         raise ModelError("zero-extension identity needs a < x <= b")
-    model = sf.model
-    dens = model.measure.density
-    lam_cap = tail_lambda if tail_lambda is not None else 1.5 * (b - a)
+    dens = sf.model.measure.density
+    lam_cap = TAIL_FACTOR * (b - a)
 
     def G0(z):
         lo = z - a
@@ -273,11 +261,8 @@ def boundary_start(penalty, sf, prob):
     model = sf.model
     if _models.path_variation(model) == "unbounded":
         return penalty.f_at_a
-    a, b, q = prob.a, prob.b, prob.q
-
-    def G(z):
-        return apply_generator(penalty, model, q, z)
-
+    a, b = prob.a, prob.b
+    G = generator_closure(penalty, model, prob.q)
     i_b, _ = _scale_weighted_integral(sf, G, a, b, kinks=penalty.kinks)
     ratio = sf.w0 / float(sf.w(b - a))
     return float(penalty.right_limit_at_a) - ratio * (float(penalty.f_tilde(b)) - i_b)
@@ -313,8 +298,6 @@ def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
         return out
 
     def I(hi):
-        if hi <= a:
-            return 0.0, 0.0
         # panel_tol loosened: at a = 0 the W' blow-up leaves a mild residual
         # in the error estimate even after the graded substitution
         return quad_singular_left(lambda z: K(z) * float(sf_y.w(hi - z)), a, hi,
@@ -327,7 +310,7 @@ def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
     return value
 
 
-def mass_balance_gap(sf, prob, penalty_one=None):
+def mass_balance_gap(sf, prob):
     """|q * int resolvent + up-transform + down-transform(f=1) - 1|.
 
     Conservation over the two exit routes plus killing; a consistency gauge

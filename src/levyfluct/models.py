@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .errors import ModelError, RootFindingError, SpecError
-from .quadrature import compensated_exp, quad, quad_complex
+from .quadrature import compensated_exp, quad
 
 FINITE_ACTIVITY = "finite_activity"
 INFINITE_ACTIVITY = "infinite_activity"
@@ -43,8 +43,8 @@ class LevyMeasureSpec:
     ``tail(theta)`` is the upper tail mass Pi(theta, inf); it is supplied
     analytically by the family constructors and computed by quadrature with
     cached anchors for tabulated densities.  ``exponent_jump_part`` is the
-    jump contribution to psi (valid for complex arguments when analytic),
-    used by the Laplace inversion contour.
+    jump contribution to psi in closed form, valid for the complex arguments
+    of the Laplace inversion contour; every family supplies one.
     """
 
     density: Callable[[float], float]
@@ -54,7 +54,7 @@ class LevyMeasureSpec:
     total_mass_near_zero: float          # int_0^1 theta^2 Pi(dtheta)
     mean_small: float                    # int_0^1 theta Pi(dtheta); inf if non-integrable
     mean_above_one: float                # int_1^inf theta Pi(dtheta)
-    exponent_jump_part: Optional[Callable] = None
+    exponent_jump_part: Callable
     exponent_jump_deriv: Optional[Callable] = None
     mass_between: Optional[Callable] = None   # (lo, hi) -> int theta Pi(dtheta)
     mass2_below: Optional[Callable] = None    # eps -> int_0^eps theta^2 Pi(dtheta)
@@ -73,11 +73,6 @@ class LevyMeasureSpec:
             raise ModelError("tail(theta) does not vanish at infinity")
         if self.activity == FINITE_ACTIVITY and not math.isfinite(self.tail(0.0)):
             raise ModelError("finite activity declared but total mass is infinite")
-
-    @property
-    def total_mass(self):
-        """Pi(0, inf); inf for infinite-activity measures."""
-        return self.tail(0.0) if self.activity == FINITE_ACTIVITY else math.inf
 
     def small_mass_between(self, lo, hi):
         """int_lo^hi theta Pi(dtheta) (finite for lo > 0)."""
@@ -398,6 +393,32 @@ def path_variation(model):
     return "unbounded"
 
 
+def check_exit(a, b, q, x):
+    """The killed two-sided exit rule: a < b, a <= x <= b and q >= 0."""
+    if not a < b:
+        raise ModelError("need a < b")
+    if not a <= x <= b:
+        raise ModelError("need a <= x <= b")
+    if q < 0:
+        raise ModelError("need q >= 0")
+
+
+def check_refraction(model, delta, c, a, b):
+    """The refraction rule: a < c < b, delta >= 0, delta below the natural drift.
+
+    delta = 0 is tolerated for degeneracy checks; a positive delta must stay
+    below gamma + int_0^1 th Pi(dth) when small jumps are integrable, or the
+    refracted process is not well posed.
+    """
+    if not a < c < b:
+        raise ModelError("need a < c < b")
+    if delta < 0:
+        raise ModelError("need delta >= 0")
+    if (delta > 0 and model.measure.variation_part == INTEGRABLE
+            and delta >= model.natural_drift):
+        raise ModelError("need delta < gamma + int_0^1 th Pi(dth)")
+
+
 # default split for the Taylor-compensated panel in the quadrature path
 SMALL_JUMP_SPLIT = 1e-6
 
@@ -431,24 +452,15 @@ def _jump_integral_quadrature(measure, lam, eps=SMALL_JUMP_SPLIT):
 def laplace_exponent(model, lam, method="auto"):
     """psi(lam); complex arguments are accepted on the analytic path.
 
-    ``method``: 'auto' prefers the family's analytic jump integral,
-    'quadrature' forces the adaptive-panel evaluation (used for
-    cross-validation), 'analytic' requires the analytic form.
+    ``method``: 'auto' uses the family's analytic jump integral, any other
+    value ('quadrature') the adaptive-panel evaluation (used for
+    cross-validation, real arguments only).
     """
     if isinstance(lam, (float, int)) and lam == 0:
         return 0.0
     base = model.gamma * lam + 0.5 * model.sigma ** 2 * lam * lam
-    jp = model.measure.exponent_jump_part
-    if method in ("auto", "analytic") and jp is not None:
-        return base + jp(lam)
-    if method == "analytic":
-        raise ModelError("no analytic Laplace exponent for this measure family")
-    if np.iscomplexobj(np.asarray(lam)):
-        val, _ = quad_complex(
-            lambda t: compensated_exp(lam * t) * complex(model.measure.density(t)), 0.0, 1.0)
-        tail_val, _ = quad_complex(
-            lambda t: (np.exp(-lam * t) - 1.0) * complex(model.measure.density(t)), 1.0, np.inf)
-        return base + val + tail_val
+    if method == "auto":
+        return base + model.measure.exponent_jump_part(lam)
     val, _ = _jump_integral_quadrature(model.measure, float(lam))
     return base + val
 

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import models as _models
-from .errors import ModelError
+from .errors import HypothesisViolationError, ModelError
 
 CAPPED_FLAG_LEVEL = 1e-3
 CELLS = 8192      # variate cells (paths x steps) drawn per block
@@ -171,7 +171,7 @@ class _JumpKit:
                            / (self.eps_eff * float(measure.density(self.eps_eff))))
         elif fam == "table":
             lo = measure.params["theta"][0]
-            self.eps_eff = max(scheme.eps, lo) if scheme.eps > lo else lo
+            self.eps_eff = max(scheme.eps, lo)
             self.lam = float(measure.tail(self.eps_eff))
             grid = np.geomspace(self.eps_eff, measure.params["theta"][-1], 4097)
             tails = np.array([float(measure.tail(t)) for t in grid])
@@ -231,23 +231,17 @@ def _batch_plan(n_paths, batch_size):
 def _run_batches(n_paths, scheme, runner):
     """Deterministic fan-out over batches; results concatenated in batch order."""
     plan = _batch_plan(n_paths, scheme.batch_size)
-    results = [None] * len(plan)
 
     def work(item):
         bi, lo, hi = item
         rng = np.random.Generator(np.random.Philox(key=scheme.seed, counter=[0, 0, 0, bi]))
-        return bi, runner(rng, hi - lo)
+        return runner(rng, hi - lo)
 
     workers = thread_count()
     if workers == 1 or len(plan) == 1:
-        for item in plan:
-            bi, res = work(item)
-            results[bi] = res
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for bi, res in pool.map(work, plan):
-                results[bi] = res
-    return results
+        return [work(item) for item in plan]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, plan))
 
 
 class _Block(NamedTuple):
@@ -470,7 +464,7 @@ class _Kernel:
 
 
 def _simulate_kernel(model, a, b, x0, scheme, n_paths, q=0.0, **kind):
-    """Run the blocked kernel over batches; returns (ExitSamples, histogram or None).
+    """Run the blocked kernel over batches: (ExitSamples, ResolventEstimate or None).
 
     For reflected runs there is no upper exit; ``xi_discounted`` carries
     int e^{-qs} dxi.
@@ -485,12 +479,12 @@ def _simulate_kernel(model, a, b, x0, scheme, n_paths, q=0.0, **kind):
         xi_discounted=(np.concatenate([r["xi"] for r in batches])
                        if kernel.reflect else None),
         horizon=kernel.horizon)
-    hist_data = None
-    if kernel.n_bins:
-        total = np.sum([r["hist"] for r in batches], axis=0)
-        total_sq = np.sum([r["hist_sq"] for r in batches], axis=0)
-        hist_data = (total, total_sq)
-    return samples, hist_data
+    if not kernel.n_bins:
+        return samples, None
+    total = np.sum([r["hist"] for r in batches], axis=0)
+    total_sq = np.sum([r["hist_sq"] for r in batches], axis=0)
+    return samples, _histogram_to_resolvent(total, total_sq, samples, scheme, a, b,
+                                            kernel.n_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +499,7 @@ def simulate_first_passage(model, a, b, x0, scheme, n_paths, q=0.0):
     overshoot position, or a itself for crossings by the continuous part.
     Paths reaching the horizon are capped, not dropped.
     """
-    if not a <= x0 <= b:
-        raise ModelError("need a <= x0 <= b")
+    _models.check_exit(a, b, q, x0)
     samples, _ = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q)
     return samples
 
@@ -525,8 +518,10 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
 
     ``samples`` allows reusing one simulation for several penalties; capped
     paths contribute zero (bias at most e^{-q*horizon} * sup|f|, visible via
-    ``capped_fraction``).
+    ``capped_fraction``).  A penalty that is not finite at an exit position
+    raises HypothesisViolationError.
     """
+    _models.check_exit(a, b, q, x0)
     if samples is None:
         samples = simulate_first_passage(model, a, b, x0, scheme, n_paths, q=q)
     vals = np.zeros(samples.n_paths)
@@ -539,6 +534,10 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
                 raise TypeError
         except Exception:
             fv = np.array([float(f(p)) for p in posd])
+        bad = np.flatnonzero(~np.isfinite(fv))
+        if bad.size:
+            raise HypothesisViolationError(
+                f"penalty f({posd[bad[0]]:g}) = {fv[bad[0]]} at an exit position")
         vals[down] = np.exp(-q * samples.times[down]) * fv
     mean, stderr = _mean_stderr(vals)
     return MCEstimate(mean=mean, stderr=stderr, n_paths=samples.n_paths,
@@ -569,11 +568,10 @@ def simulate_reflected(model, b, a, x0, scheme, n_paths, q=0.0, n_bins=0):
     boundary bias.  Returns ExitSamples (no up exits) and, if requested, a
     ResolventEstimate of the occupation density on [a, b].
     """
-    samples, hist = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
-                                     reflect=True, n_bins=n_bins)
-    if n_bins:
-        return samples, _histogram_to_resolvent(hist, samples, scheme, a, b, n_bins)
-    return samples
+    _models.check_exit(a, b, q, x0)
+    samples, res = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
+                                    reflect=True, n_bins=n_bins)
+    return (samples, res) if n_bins else samples
 
 
 def simulate_refracted(model, delta, c, a, b, x0, scheme, n_paths, q=0.0, n_bins=0):
@@ -581,23 +579,14 @@ def simulate_refracted(model, delta, c, a, b, x0, scheme, n_paths, q=0.0, n_bins
 
     delta = 0 degenerates to the plain process path-for-path (same streams).
     """
-    if delta < 0:
-        raise ModelError("delta must be nonnegative")
-    if delta > 0 and model.measure.variation_part == _models.INTEGRABLE \
-            and delta >= model.natural_drift:
-        raise ModelError("need delta < gamma + int_0^1 th Pi(dth) for a well-posed"
-                         " refracted process")
-    if not (a < c < b):
-        raise ModelError("need a < c < b")
-    samples, hist = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
-                                     delta=delta, refract_level=c, n_bins=n_bins)
-    if n_bins:
-        return samples, _histogram_to_resolvent(hist, samples, scheme, a, b, n_bins)
-    return samples
+    _models.check_exit(a, b, q, x0)
+    _models.check_refraction(model, delta, c, a, b)
+    samples, res = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
+                                    delta=delta, refract_level=c, n_bins=n_bins)
+    return (samples, res) if n_bins else samples
 
 
-def _histogram_to_resolvent(hist, samples, scheme, a, b, n_bins):
-    total, total_sq = hist
+def _histogram_to_resolvent(total, total_sq, samples, scheme, a, b, n_bins):
     n = samples.n_paths
     bin_w = (b - a) / n_bins
     mean = total / n
@@ -615,8 +604,7 @@ def estimate_resolvent(model, a, b, q, x0, scheme, n_paths, n_bins=50):
     errors come from across-path variation.  The exit samples ride along for
     mass-balance checks.
     """
-    if not a <= x0 <= b:
-        raise ModelError("need a <= x0 <= b")
-    samples, hist = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
-                                     n_bins=n_bins)
-    return _histogram_to_resolvent(hist, samples, scheme, a, b, n_bins)
+    _models.check_exit(a, b, q, x0)
+    _, res = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
+                              n_bins=n_bins)
+    return res

@@ -46,16 +46,6 @@ def quad(f, lo, hi, *, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
     return val, err
 
 
-def quad_panels(f, breakpoints, **kwargs):
-    """Integrate ``f`` over consecutive panels given by ``breakpoints``."""
-    total, toterr = 0.0, 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        v, e = quad(f, lo, hi, **kwargs)
-        total += v
-        toterr += e
-    return total, toterr
-
-
 def quad_singular_left(f, lo, hi, *, points=None, **kwargs):
     """Integrate ``f`` on [lo, hi] with an integrable singularity at ``lo``.
 
@@ -65,8 +55,6 @@ def quad_singular_left(f, lo, hi, *, points=None, **kwargs):
     jump-tail factors diverging at the lower endpoint.  ``points`` are break
     locations in the original coordinate.
     """
-    if hi <= lo:
-        return 0.0, 0.0
     umax = math.sqrt(hi - lo)
 
     def g(u):
@@ -85,9 +73,6 @@ def quad_log(f, lo, hi, **kwargs):
     the lower endpoint (power-law singular jump densities evaluated on
     intervals starting near 0).
     """
-    if hi <= lo:
-        return 0.0, 0.0
-
     def g(s):
         t = math.exp(s)
         return t * f(t)
@@ -95,18 +80,11 @@ def quad_log(f, lo, hi, **kwargs):
     return quad(g, math.log(lo), math.log(hi), **kwargs)
 
 
-def quad_complex(f, lo, hi, **kwargs):
-    """Complex-valued integrand: integrates real and imaginary parts separately."""
-    re, ere = quad(lambda t: f(t).real, lo, hi, **kwargs)
-    im, eim = quad(lambda t: f(t).imag, lo, hi, **kwargs)
-    return complex(re, im), ere + eim
-
-
 def compensated_exp(u):
-    """exp(-u) - 1 + u, accurate for small |u|; works for real or complex u."""
-    u = np.asarray(u)
+    """exp(-u) - 1 + u for real u, accurate for small |u|."""
+    u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-3
-    out = np.empty_like(u, dtype=complex if np.iscomplexobj(u) else float)
+    out = np.empty_like(u)
     us = u[small]
     # series sum_{k>=2} (-u)^k / k!
     out[small] = us * us / 2.0 * (1.0 - us / 3.0 * (1.0 - us / 4.0 * (1.0 - us / 5.0)))

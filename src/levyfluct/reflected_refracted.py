@@ -20,9 +20,9 @@ import numpy as np
 
 from . import models as _models
 from . import montecarlo as mc
-from .errors import ModelError, UnsupportedCaseError
-from .generator import apply_generator
-from .identities import GerberShiuValue
+from .errors import UnsupportedCaseError
+from .generator import generator_closure
+from .identities import GerberShiuValue, _check_alignment
 from .quadrature import quad_singular_left
 
 # 3-point Gauss-Legendre on [-1, 1]
@@ -41,12 +41,7 @@ class ReflectedSpec:
     x: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ModelError("need a < b")
-        if not (self.a <= self.x <= self.b):
-            raise ModelError("need a <= x <= b")
-        if self.q < 0:
-            raise ModelError("need q >= 0")
+        _models.check_exit(self.a, self.b, self.q, self.x)
 
 
 @dataclass(frozen=True)
@@ -62,18 +57,8 @@ class RefractedSpec:
     x: float
 
     def __post_init__(self):
-        if not (self.a < self.c < self.b):
-            raise ModelError("need a < c < b")
-        if not (self.a <= self.x <= self.b):
-            raise ModelError("need a <= x <= b")
-        if self.delta < 0:
-            raise ModelError("need delta >= 0")
-        # delta = 0 is tolerated for degeneracy checks; the SDE itself needs
-        # delta below the natural drift when small jumps are integrable
-        if (self.delta > 0
-                and self.model.measure.variation_part == _models.INTEGRABLE
-                and self.delta >= self.model.natural_drift):
-            raise ModelError("need delta < gamma + int_0^1 th Pi(dth)")
+        _models.check_exit(self.a, self.b, self.q, self.x)
+        _models.check_refraction(self.model, self.delta, self.c, self.a, self.b)
 
 
 @dataclass
@@ -121,39 +106,36 @@ class MonteCarloProvider:
         return (type(spec).__name__, model.gamma, model.sigma, model.measure.family,
                 params) + vals
 
-    def reflected(self, spec):
+    def _simulated(self, spec, simulate, args, boundary):
+        """Ingredients from one cached run of ``simulate(*args, ...)``.
+
+        ``boundary`` maps the run's exit samples to the boundary ingredient
+        and its standard error.
+        """
         key = self._key(spec)
         if key not in self._cache:
-            samples, res = mc.simulate_reflected(
-                spec.model, spec.b, spec.a, spec.x, self.scheme, self.n_paths,
-                q=spec.q, n_bins=self.n_bins)
-            lt, lt_se = mc._mean_stderr(samples.xi_discounted)
+            samples, res = simulate(*args, self.scheme, self.n_paths,
+                                    q=spec.q, n_bins=self.n_bins)
+            value, value_se = boundary(samples)
             if spec.model.sigma == 0.0:
                 creep, creep_se = 0.0, 0.0
             else:
                 creep, creep_se = mc.estimate_creeping(samples, spec.q)
             self._cache[key] = Ingredients(
-                source="monte_carlo", boundary=lt, boundary_se=lt_se,
+                source="monte_carlo", boundary=value, boundary_se=value_se,
                 creeping=creep, creeping_se=creep_se,
                 edges=res.edges, density=res.density, density_se=res.stderr)
         return self._cache[key]
 
+    def reflected(self, spec):
+        return self._simulated(spec, mc.simulate_reflected,
+                               (spec.model, spec.b, spec.a, spec.x),
+                               lambda s: mc._mean_stderr(s.xi_discounted))
+
     def refracted(self, spec):
-        key = self._key(spec)
-        if key not in self._cache:
-            samples, res = mc.simulate_refracted(
-                spec.model, spec.delta, spec.c, spec.a, spec.b, spec.x,
-                self.scheme, self.n_paths, q=spec.q, n_bins=self.n_bins)
-            up, up_se = mc.estimate_exit_transform(samples, spec.q, mc.UP)
-            if spec.model.sigma == 0.0:
-                creep, creep_se = 0.0, 0.0
-            else:
-                creep, creep_se = mc.estimate_creeping(samples, spec.q)
-            self._cache[key] = Ingredients(
-                source="monte_carlo", boundary=up, boundary_se=up_se,
-                creeping=creep, creeping_se=creep_se,
-                edges=res.edges, density=res.density, density_se=res.stderr)
-        return self._cache[key]
+        return self._simulated(spec, mc.simulate_refracted,
+                               (spec.model, spec.delta, spec.c, spec.a, spec.b, spec.x),
+                               lambda s: mc.estimate_exit_transform(s, spec.q, mc.UP))
 
 
 class ClosedFormProvider:
@@ -206,36 +188,43 @@ def _integral_against_ingredients(Gfunc, ing, a, b, splits=()):
     return total, spread
 
 
+def _modified_overshoot(penalty, spec, ingredients, G, weight, splits, formula):
+    """f~(x) - weight * boundary + int_a^b G u + creeping correction.
+
+    ``ingredients`` is the provider method for ``spec``; ``weight`` is the
+    penalty factor of the boundary ingredient.  The accuracy propagates the
+    ingredients' uncertainty through each term.
+    """
+    if spec.x == spec.a:
+        raise UnsupportedCaseError("boundary start x = a is not supported for "
+                                   f"{formula} evaluation")
+    _check_alignment(penalty, spec)
+    ing = ingredients(spec)
+    boundary = float(penalty.f_tilde(spec.x)) - ing.boundary * weight
+    integral, int_err = _integral_against_ingredients(G, ing, spec.a, spec.b,
+                                                      splits=splits)
+    jump_at_a = penalty.f_at_a - penalty.right_limit_at_a
+    creep = jump_at_a * ing.creeping
+    accuracy = (abs(weight) * ing.boundary_se
+                + int_err
+                + abs(jump_at_a) * ing.creeping_se)
+    return GerberShiuValue(
+        value=boundary + integral + creep,
+        boundary_term=boundary, integral_term=integral, creeping_term=creep,
+        formula_used=formula, accuracy=accuracy,
+        condition_note=f"ingredients: {ing.source}")
+
+
 def reflected_overshoot(penalty, spec, provider):
     """Discounted penalty at first passage below a for the process reflected at b.
 
     Starting exactly at a is rejected: the boundary-start behaviour of the
     reflected identity is not settled, so no guess is made.
     """
-    if spec.x == spec.a:
-        raise UnsupportedCaseError("boundary start x = a is not supported for "
-                                   "reflected evaluation")
-    if abs(penalty.a - spec.a) > 1e-12 or abs(penalty.b - spec.b) > 1e-12:
-        raise ModelError("penalty interval must match the spec interval")
-    model, q = spec.model, spec.q
-    ing = provider.reflected(spec)
-
-    def G(z):
-        return apply_generator(penalty, model, q, z)
-
-    boundary = float(penalty.f_tilde(spec.x)) \
-        - ing.boundary * float(penalty.f_tilde_left_deriv(spec.b))
-    integral, int_err = _integral_against_ingredients(G, ing, spec.a, spec.b,
-                                                      splits=penalty.kinks)
-    creep = (penalty.f_at_a - penalty.right_limit_at_a) * ing.creeping
-    accuracy = (abs(float(penalty.f_tilde_left_deriv(spec.b))) * ing.boundary_se
-                + int_err
-                + abs(penalty.f_at_a - penalty.right_limit_at_a) * ing.creeping_se)
-    return GerberShiuValue(
-        value=boundary + integral + creep,
-        boundary_term=boundary, integral_term=integral, creeping_term=creep,
-        formula_used="reflected", accuracy=accuracy,
-        condition_note=f"ingredients: {ing.source}")
+    G = generator_closure(penalty, spec.model, spec.q)
+    weight = float(penalty.f_tilde_left_deriv(spec.b))
+    return _modified_overshoot(penalty, spec, provider.reflected, G, weight,
+                               penalty.kinks, "reflected")
 
 
 def refracted_overshoot(penalty, spec, provider):
@@ -244,29 +233,15 @@ def refracted_overshoot(penalty, spec, provider):
     The integrand gains the extra -delta 1{z > c} f~'(z) term; the integral
     panel is always split at z = c (indicator jump).
     """
-    if spec.x == spec.a:
-        raise UnsupportedCaseError("boundary start x = a is not supported for "
-                                   "refracted evaluation")
-    if abs(penalty.a - spec.a) > 1e-12 or abs(penalty.b - spec.b) > 1e-12:
-        raise ModelError("penalty interval must match the spec interval")
-    model, q, delta, c = spec.model, spec.q, spec.delta, spec.c
-    ing = provider.refracted(spec)
+    delta, c = spec.delta, spec.c
+    plain = generator_closure(penalty, spec.model, spec.q)
 
     def G(z):
-        out = apply_generator(penalty, model, q, z)
+        out = plain(z)
         if z > c:
             out -= delta * float(penalty.f_tilde_left_deriv(z))
         return out
 
-    boundary = float(penalty.f_tilde(spec.x)) - ing.boundary * float(penalty.f_tilde(spec.b))
-    integral, int_err = _integral_against_ingredients(
-        G, ing, spec.a, spec.b, splits=tuple(penalty.kinks) + (c,))
-    creep = (penalty.f_at_a - penalty.right_limit_at_a) * ing.creeping
-    accuracy = (abs(float(penalty.f_tilde(spec.b))) * ing.boundary_se
-                + int_err
-                + abs(penalty.f_at_a - penalty.right_limit_at_a) * ing.creeping_se)
-    return GerberShiuValue(
-        value=boundary + integral + creep,
-        boundary_term=boundary, integral_term=integral, creeping_term=creep,
-        formula_used="refracted", accuracy=accuracy,
-        condition_note=f"ingredients: {ing.source}")
+    weight = float(penalty.f_tilde(spec.b))
+    return _modified_overshoot(penalty, spec, provider.refracted, G, weight,
+                               tuple(penalty.kinks) + (c,), "refracted")

@@ -28,6 +28,9 @@ from .errors import ModelError, NumericalAccuracyError
 from .quadrature import quad
 
 _CLOSED_FORM_FAMILIES = ("none", "exponential")
+# Euler summation settings, and the number of nodes in the inversion cache
+INVERSION_PARAMS = dict(a_param=28.0, n_terms=60, m_euler=35)
+GRID_NODES = 2048
 
 
 def _euler_weights(m):
@@ -58,6 +61,18 @@ def euler_inversion(transform, x, a_param=28.0, n_terms=60, m_euler=35):
     return out.item() if scalar else out
 
 
+def _tilted_inverse(model, q, phi, x):
+    """e^{-Phi(q) x} W^(q)(x) at x > 0: the inverse of 1/(psi(s + Phi(q)) - q)."""
+    jp = model.measure.exponent_jump_part
+    gamma, sig2 = model.gamma, model.sigma ** 2
+
+    def transform(s):
+        lam = s + phi
+        return 1.0 / (gamma * lam + 0.5 * sig2 * lam * lam + jp(lam) - q)
+
+    return euler_inversion(transform, x, **INVERSION_PARAMS)
+
+
 class ScaleFunction:
     """Evaluator bundle for W^(q), its derivative and Z^(q) for one (model, q).
 
@@ -65,8 +80,7 @@ class ScaleFunction:
     instances can be shared across threads.
     """
 
-    def __init__(self, model, q, method="auto", x_max=10.0, grid_nodes=2048,
-                 inversion_params=None):
+    def __init__(self, model, q, method="auto", x_max=10.0):
         if q < 0:
             raise ModelError("q must be nonnegative")
         self.model = model
@@ -77,10 +91,7 @@ class ScaleFunction:
         self.method = method
         self.phi = _models.right_inverse_phi(model, q)
         self.x_max = float(x_max)
-        self.inversion_params = dict(a_param=28.0, n_terms=60, m_euler=35,
-                                     grid_nodes=int(grid_nodes))
-        if inversion_params:
-            self.inversion_params.update(inversion_params)
+        self.inversion_params = dict(INVERSION_PARAMS, grid_nodes=GRID_NODES)
 
         variation = _models.path_variation(model)
         if variation == "bounded":
@@ -88,10 +99,6 @@ class ScaleFunction:
         else:
             self.w0 = 0.0
 
-        self._roots = None
-        self._coeffs = None
-        self._interp = None
-        self.tolerance_estimate = 0.0
         if self.method == "closed_form":
             self._build_partial_fractions()
             self.tolerance_estimate = 1e-13
@@ -144,33 +151,12 @@ class ScaleFunction:
 
     # -- Laplace inversion ---------------------------------------------------
 
-    def _tilted_transform(self):
-        model, q, phi = self.model, self.q, self.phi
-        jp = model.measure.exponent_jump_part
-        gamma, sig2 = model.gamma, model.sigma ** 2
-
-        if jp is not None:
-            def transform(s):
-                lam = s + phi
-                return 1.0 / (gamma * lam + 0.5 * sig2 * lam * lam + jp(lam) - q)
-        else:
-            def transform(s):
-                lam = np.atleast_2d(s + phi)
-                out = np.empty(lam.shape, dtype=complex)
-                for idx, l in np.ndenumerate(lam):
-                    out[idx] = 1.0 / (_models.laplace_exponent(model, l) - q)
-                return out.reshape(np.shape(s))
-        return transform
-
     def _invert_tilted(self, x):
-        p = self.inversion_params
-        return euler_inversion(self._tilted_transform(), x, a_param=p["a_param"],
-                               n_terms=p["n_terms"], m_euler=p["m_euler"])
+        return _tilted_inverse(self.model, self.q, self.phi, x)
 
     def _build_inversion_cache(self):
-        n = self.inversion_params["grid_nodes"]
         x_lo = self.x_max * 1e-6
-        nodes = np.geomspace(x_lo, self.x_max, n)
+        nodes = np.geomspace(x_lo, self.x_max, GRID_NODES)
         g = self._invert_tilted(nodes)
         if np.any(~np.isfinite(g)):
             raise NumericalAccuracyError("Laplace inversion returned non-finite values")
@@ -187,30 +173,36 @@ class ScaleFunction:
         direct = self._invert_tilted(probe)
         scale = float(np.max(np.abs(g)))
         keep = np.abs(direct) > 0.01 * scale
-        if np.any(keep):
-            rel = (np.abs(self._interp(probe[keep]) - direct[keep])
-                   / np.abs(direct[keep]))
-            self.tolerance_estimate = float(np.max(rel)) + 1e-10
-        else:
-            self.tolerance_estimate = 1e-8
+        rel = (np.abs(self._interp(probe[keep]) - direct[keep])
+               / np.abs(direct[keep]))
+        self.tolerance_estimate = float(np.max(rel)) + 1e-10
 
-    def _exp_poly_moments(self, h, kmax=3):
-        """I_k = int_0^h e^{phi t} t^k dt for k = 0..kmax (stable for small phi*h)."""
+    def _piece_integral(self, j, h):
+        """int_0^h W(x_j + t) dt on cache piece j, exact for e^{phi u} times its cubic.
+
+        The moments I_k = int_0^h e^{phi t} t^k dt, k = 0..3, take a short
+        series in phi where phi*h is small, else the recursion
+        I_k = (h^k e^{phi h} - k I_{k-1}) / phi.
+        """
         phi = self.phi
-        out = np.empty(kmax + 1)
-        if abs(phi * h) < 1e-4:
-            # short series in phi: I_k = sum_j phi^j h^{k+1+j} / (j! (k+1+j))
-            for k in range(kmax + 1):
-                term = 0.0
-                for j in range(6):
-                    term += phi ** j * h ** (k + 1 + j) / (math.factorial(j) * (k + 1 + j))
-                out[k] = term
-            return out
-        e = math.exp(phi * h)
-        out[0] = (e - 1.0) / phi
-        for k in range(1, kmax + 1):
-            out[k] = (h ** k * e - k * out[k - 1]) / phi
-        return out
+        mom = np.empty((4,) + h.shape)
+        small = np.abs(phi * h) < 1e-4
+        hs, hb = h[small], h[~small]
+        for k in range(4):
+            # I_k = sum_i phi^i h^{k+1+i} / (i! (k+1+i))
+            term = np.zeros(hs.shape)
+            for i in range(6):
+                term += phi ** i * hs ** (k + 1 + i) / (math.factorial(i) * (k + 1 + i))
+            mom[k, small] = term
+        e = np.exp(phi * hb)
+        prev = (e - 1.0) / phi
+        mom[0, ~small] = prev
+        for k in range(1, 4):
+            prev = (hb ** k * e - k * prev) / phi
+            mom[k, ~small] = prev
+        c = self._interp.c[:, j]      # p(t) = c0 t^3 + c1 t^2 + c2 t + c3, local t
+        return np.exp(phi * self._anti_nodes[j]) * (
+            c[0] * mom[3] + c[1] * mom[2] + c[2] * mom[1] + c[3] * mom[0])
 
     def _build_exact_antiderivative(self, xs):
         """Exact integrals of W = e^{phi u} * interpolant over the cache pieces.
@@ -219,48 +211,37 @@ class ScaleFunction:
         few 1e-9 (its error estimator misses the knot kinks), so integrals of
         W are assembled exactly piece by piece instead.
         """
-        c = self._interp.c            # (4, n-1), highest degree first, local t
-        widths = np.diff(xs)
-        piece = np.empty(widths.size)
-        for i, h in enumerate(widths):
-            mom = self._exp_poly_moments(h)
-            # p(t) = c0 t^3 + c1 t^2 + c2 t + c3
-            val = (c[0, i] * mom[3] + c[1, i] * mom[2]
-                   + c[2, i] * mom[1] + c[3, i] * mom[0])
-            piece[i] = math.exp(self.phi * xs[i]) * val
         self._anti_nodes = xs
+        piece = self._piece_integral(np.arange(xs.size - 1), np.diff(xs))
         self._anti_cum = np.concatenate([[0.0], np.cumsum(piece)])
 
     def w_antiderivative(self, x):
         """int_0^x W(u) du; exact for the cached interpolant / closed form."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
         xs = np.atleast_1d(x)
         out = np.zeros(xs.shape)
-        for i, xi in enumerate(xs):
-            if xi <= 0.0:
-                continue
-            if self.method == "closed_form":
-                terms = np.where(
-                    np.abs(self._roots) > 1e-14,
-                    self._coeffs * (np.exp(self._roots * xi) - 1.0)
-                    / np.where(np.abs(self._roots) > 1e-14, self._roots, 1.0),
-                    self._coeffs * xi)
-                out[i] = float(np.real(np.sum(terms)))
-                continue
-            if xi > self.x_max:
-                tail, _ = quad(self.w, self.x_max, xi, epsabs=1e-12, epsrel=1e-11)
-                out[i] = self._anti_cum[-1] + tail
-                continue
-            j = int(np.searchsorted(self._anti_nodes, xi, side="right") - 1)
-            j = min(max(j, 0), self._anti_nodes.size - 2)
-            t = xi - self._anti_nodes[j]
-            mom = self._exp_poly_moments(t)
-            c = self._interp.c
-            part = (c[0, j] * mom[3] + c[1, j] * mom[2]
-                    + c[2, j] * mom[1] + c[3, j] * mom[0])
-            out[i] = self._anti_cum[j] + math.exp(self.phi * self._anti_nodes[j]) * part
-        return out.item() if scalar else out
+        pos = xs > 0.0
+        xp = xs[pos]
+        if self.method == "closed_form":
+            roots, coeffs = self._roots, self._coeffs
+            nonzero = np.abs(roots) > 1e-14
+            terms = np.where(nonzero,
+                             coeffs * (np.exp(np.multiply.outer(xp, roots)) - 1.0)
+                             / np.where(nonzero, roots, 1.0),
+                             coeffs * xp[:, None])
+            vals = np.real(np.sum(terms, axis=1))
+        else:
+            vals = np.empty(xp.shape)
+            inside = xp <= self.x_max
+            j = np.searchsorted(self._anti_nodes, xp[inside], side="right") - 1
+            j = np.clip(j, 0, self._anti_nodes.size - 2)
+            vals[inside] = self._anti_cum[j] + self._piece_integral(
+                j, xp[inside] - self._anti_nodes[j])
+            for i in np.flatnonzero(~inside):
+                tail, _ = quad(self.w, self.x_max, xp[i], epsabs=1e-12, epsrel=1e-11)
+                vals[i] = self._anti_cum[-1] + tail
+        out[pos] = vals
+        return out.item() if x.ndim == 0 else out
 
     # -- public evaluators ---------------------------------------------------
 
@@ -316,14 +297,12 @@ class ScaleFunction:
         if self.method == "closed_form":
             out = self._pf_sum(xs, power=1)
             return out.item() if scalar else out
-        out = np.empty(xs.shape)
-        for i, xi in enumerate(xs):
-            h = max(1e-6, 1e-6 * xi)
-            if xi - 2.0 * h <= 0.0:
-                h = xi / 4.0
-            d1 = (self.w(xi + h) - self.w(xi - h)) / (2.0 * h)
-            d2 = (self.w(xi + 0.5 * h) - self.w(xi - 0.5 * h)) / h
-            out[i] = (4.0 * d2 - d1) / 3.0
+        h = np.maximum(1e-6, 1e-6 * xs)
+        h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
+        w_p, w_m, w_ph, w_mh = self.w(xs + np.array([[1.0], [-1.0], [0.5], [-0.5]]) * h)
+        d1 = (w_p - w_m) / (2.0 * h)
+        d2 = (w_ph - w_mh) / h
+        out = (4.0 * d2 - d1) / 3.0
         return out.item() if scalar else out
 
     def w_second(self, x):
@@ -334,12 +313,10 @@ class ScaleFunction:
         if self.method == "closed_form":
             out = self._pf_sum(xs, power=2)
             return out.item() if scalar else out
-        out = np.empty(xs.shape)
-        for i, xi in enumerate(xs):
-            h = max(1e-5, 1e-5 * xi)
-            if xi - 2.0 * h <= 0.0:
-                h = xi / 4.0
-            out[i] = (self.w(xi + h) - 2.0 * self.w(xi) + self.w(xi - h)) / (h * h)
+        h = np.maximum(1e-5, 1e-5 * xs)
+        h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
+        w_p, w_0, w_m = self.w(xs + np.array([[1.0], [0.0], [-1.0]]) * h)
+        out = (w_p - 2.0 * w_0 + w_m) / (h * h)
         return out.item() if scalar else out
 
     def z(self, x):
@@ -350,7 +327,7 @@ class ScaleFunction:
         return 1.0 + self.q * self.w_antiderivative(x)
 
 
-def invert_laplace(model, q, x, **params):
+def invert_laplace(model, q, x):
     """Point evaluation of W^(q)(x) by contour inversion (no cache).
 
     Convenience wrapper used for cross-checks; ``ScaleFunction`` with
@@ -359,22 +336,18 @@ def invert_laplace(model, q, x, **params):
     if np.any(np.asarray(x) <= 0):
         raise ValueError("x must be positive")
     phi = _models.right_inverse_phi(model, q)
-    sf = ScaleFunction.__new__(ScaleFunction)
-    sf.model, sf.q, sf.phi = model, float(q), phi
-    sf.inversion_params = dict(a_param=28.0, n_terms=60, m_euler=35)
-    sf.inversion_params.update(params)
-    g = sf._invert_tilted(x)
+    g = _tilted_inverse(model, float(q), phi, x)
     return np.exp(phi * np.asarray(x, dtype=float)) * g
 
 
-def transform_roundtrip(sf, lam, x_cut=None):
+def transform_roundtrip(sf, lam):
     """Laplace transform of the computed W at ``lam``, for round-trip checks.
 
-    Integrates e^{-lam x} W(x) over [0, x_cut] by quadrature and closes the
-    tail with the geometric-growth estimate W(x) ~ W(x_cut) e^{phi (x - x_cut)}.
+    Integrates e^{-lam x} W(x) over [0, x_cut = sf.x_max] by quadrature and
+    closes the tail with the geometric-growth estimate
+    W(x) ~ W(x_cut) e^{phi (x - x_cut)}.
     """
-    if x_cut is None:
-        x_cut = sf.x_max
+    x_cut = sf.x_max
     lam = float(lam)
     if lam <= sf.phi:
         raise ValueError("transform only converges for lam > Phi(q)")

@@ -206,3 +206,70 @@ def test_closed_form_provider_is_programmatic_only(tmp_path):
         "a": 0.0, "b": 1.5, "q": 0.1, "x": 0.75,
         "provider": "closed_form"})
     assert run(["eval-reflected", "--spec", spec]) == 2
+
+
+def test_scale_grid_without_points_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "scale.json", {
+        "model": JD_MODEL, "q": 0.05,
+        "grid": {"start": 0.1, "stop": 3.0, "n": 0}})
+    assert run(["scale", "--spec", spec]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in power:RuntimeWarning")
+def test_mc_nonfinite_penalty_is_numerical_failure(tmp_path, capsys):
+    # sqrt is NaN at every exit strictly below a = 0
+    spec = write_spec(tmp_path, "mc.json", {
+        "model": JD_MODEL,
+        "penalty": {"f": "y**0.5"},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0,
+        "mc": {"paths": 2000, "seed": 12}})
+    assert run(["mc", "--spec", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "penalty f(" in captured.err
+
+
+def eval_value(tmp_path, name, **fields):
+    payload = {"model": JD_MODEL, "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0}
+    payload.update(fields)
+    spec = write_spec(tmp_path, name + ".json", payload)
+    out = tmp_path / (name + ".out")
+    assert run(["eval", "--spec", spec, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_eval_custom_extension_from_expression_only(tmp_path):
+    # no derivative callables: the extension's derivatives come from differences
+    custom = eval_value(tmp_path, "custom", formula="general", penalty={
+        "f": "exp(y)", "extension": {"kind": "custom", "expr": "exp(y)"}})
+    stock = eval_value(tmp_path, "stock", formula="general", penalty={
+        "f": "exp(y)", "extension": {"kind": "constant_one"}})
+    assert custom["value"] == pytest.approx(stock["value"], abs=1e-4)
+
+
+def test_eval_scale_function_extension_matches_constant_one(tmp_path):
+    scale = eval_value(tmp_path, "scale", penalty={
+        "f": "1", "extension": {"kind": "scale_function"}})
+    stock = eval_value(tmp_path, "stock", penalty={
+        "f": "1", "extension": {"kind": "constant_one"}})
+    assert scale["formula_used"] == "general"
+    assert scale["value"] == pytest.approx(stock["value"], abs=1e-6)
+
+
+def test_eval_zero_extension_formula(tmp_path):
+    zero = eval_value(tmp_path, "zero", formula="zero_extension", penalty={"f": "1"})
+    stock = eval_value(tmp_path, "stock", penalty={
+        "f": "1", "extension": {"kind": "constant_one"}})
+    assert zero["formula_used"] == "zero_extension"
+    assert zero["value"] == pytest.approx(stock["value"], abs=1e-6)
+
+
+def test_eval_reflected_unknown_extension_kind(tmp_path, capsys):
+    spec = write_spec(tmp_path, "refl.json", {
+        "model": {"gamma": -0.1, "sigma": 1.0, "measure": {"family": "none"}},
+        "penalty": {"f": "1", "extension": {"kind": "no_such_kind"}},
+        "a": 0.0, "b": 1.5, "q": 0.1, "x": 0.75,
+        "mc": {"paths": 100, "seed": 4}})
+    assert run(["eval-reflected", "--spec", spec]) == 2
+    assert "penalty.extension" in capsys.readouterr().err

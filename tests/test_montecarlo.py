@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from levyfluct import montecarlo as mc
-from levyfluct import (ExitProblem, ModelError, brownian_motion,
+from levyfluct import (ExitProblem, ModelError, ScaleFunction, brownian_motion,
                        creeping_transform, estimate_creeping, estimate_exit_transform,
                        estimate_overshoot_functional, estimate_resolvent,
-                       resolvent_density, simulate_first_passage, simulate_reflected,
-                       simulate_refracted)
+                       model_from_dict, resolvent_density, simulate_first_passage,
+                       simulate_reflected, simulate_refracted, two_sided_exit_up)
 from levyfluct.models import LevyTriplet, no_jumps
 from levyfluct.montecarlo import CAPPED, DOWN, UP, SimScheme, thread_count
 
@@ -477,3 +477,35 @@ def test_blocked_kernel_matches_per_step_recursion(catalog, case):
     else:
         for label, got, want in floats:
             assert np.array_equal(got, want, equal_nan=True), label
+
+
+BAD_EXIT_CALLS = {
+    "refracted_start_above_b":
+        lambda m, s: simulate_refracted(m, 0.1, 1.0, A, B, 3.0, s, 10, q=0.05),
+    "reflected_start_below_a":
+        lambda m, s: simulate_reflected(m, B, A, -1.0, s, 10, q=0.05),
+    "negative_rate":
+        lambda m, s: estimate_overshoot_functional(m, ONE, A, B, -0.05, X0, s, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXIT_CALLS))
+def test_exit_rule_enforced_by_simulators(catalog, case):
+    scheme = SimScheme(dt=1e-3, seed=1, horizon=1.0)
+    with pytest.raises(ModelError):
+        BAD_EXIT_CALLS[case](catalog["jump_diffusion"], scheme)
+
+
+def test_table_measure_exit_transform_matches_identity():
+    # the table-measure model of the CLI spec test; the seed was fixed before the
+    # first run
+    model = model_from_dict({
+        "gamma": 1.0, "sigma": 0.0,
+        "measure": {"family": "table", "theta": [0.05, 0.5, 1.0, 3.0, 8.0],
+                    "pi": [0.7, 0.4, 0.25, 0.05, 0.001]}})
+    q = 0.05
+    samples = simulate_first_passage(model, A, B, X0, SimScheme(dt=1e-3, seed=1),
+                                     4000, q=q)
+    up, se = estimate_exit_transform(samples, q, UP)
+    exact = two_sided_exit_up(ScaleFunction(model, q), ExitProblem(A, B, q, X0))
+    assert abs(up - exact) < 4.0 * se

@@ -253,3 +253,9 @@ def test_provider_cache_keys_on_model_parameters():
                dict(measure=exponential_jumps(0.8, 1.51)), dict(measure=no_jumps())):
         assert provider.reflected(spec(**kw)) is not first
     assert len(provider._cache) == 6
+
+
+def test_refracted_spec_rejects_negative_rate(catalog):
+    with pytest.raises(ModelError):
+        RefractedSpec(model=catalog["cramer_lundberg"], delta=0.1, c=1.0,
+                      a=0.0, b=2.0, q=-0.1, x=1.0)

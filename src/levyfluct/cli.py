@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -70,13 +71,20 @@ def _build_problem(spec):
     q = float(_require(spec, "q"))
     x = float(_require(spec, "x"))
     prob = idn.ExitProblem(a, b, q, x)
-    sf = ScaleFunction(model, q, x_max=max(10.0, b - a + 1.0, b + 1.0))
-    return model, prob, sf
+    # built on first use: mc and the reflected and refracted identities read
+    # it only through W(...) or the scale_function extension
+    scale = functools.cache(
+        lambda: ScaleFunction(model, q, x_max=max(10.0, b - a + 1.0, b + 1.0)))
+    return model, prob, scale
 
 
-def _penalty_callable(f_spec, sf):
+def _lazy_w(scale):
+    return lambda y: scale().w(y)
+
+
+def _penalty_callable(f_spec, scale):
     if isinstance(f_spec, str):
-        return compile_expression(f_spec, w=sf.w)
+        return compile_expression(f_spec, w=_lazy_w(scale))
     if isinstance(f_spec, dict) and "table" in f_spec:
         table = f_spec["table"]
         ys = np.asarray(_require(table, "y", "penalty.f.table"), dtype=float)
@@ -89,21 +97,21 @@ def _penalty_callable(f_spec, sf):
                     field="penalty.f")
 
 
-def _penalty_f(spec, sf):
-    """The penalty f of the spec's ``penalty.f`` field."""
-    return _penalty_callable(_require(_require(spec, "penalty"), "f", "penalty"), sf)
+def _penalty_f(spec, scale):
+    """The penalty f of the spec's ``penalty.f`` field; ``scale()`` gives the ScaleFunction."""
+    return _penalty_callable(_require(_require(spec, "penalty"), "f", "penalty"), scale)
 
 
-def _build_penalty(spec, prob, sf):
-    f = _penalty_f(spec, sf)
+def _build_penalty(spec, prob, scale):
+    f = _penalty_f(spec, scale)
     ext = spec["penalty"].get("extension", {"kind": "constant_one"})
     kind = _require(ext, "kind", "penalty.extension")
     if kind == "custom":
         expr = _require(ext, "expr", "penalty.extension")
         recipe = ExtensionRecipe(kind="custom",
-                                 f_tilde=compile_expression(expr, w=sf.w))
+                                 f_tilde=compile_expression(expr, w=_lazy_w(scale)))
     elif kind == "scale_function":
-        recipe = ExtensionRecipe(kind="scale_function", scale=sf)
+        recipe = ExtensionRecipe(kind="scale_function", scale=scale())
     elif kind in ("zero", "constant_one", "affine_at_a"):
         recipe = ExtensionRecipe(kind=kind, slope=ext.get("slope"))
     else:
@@ -148,7 +156,8 @@ def _gs_rows(val):
              repr(val.creeping_term), val.formula_used, repr(val.accuracy)]]
 
 
-def _evaluate_route(formula, penalty, sf, prob, spec):
+def _evaluate_route(formula, penalty, scale, prob, spec):
+    sf = scale()
     membership = check_membership(penalty, sf.model)
     if formula == "auto":
         formula = "simple" if membership.simple_form_admissible else "general"
@@ -157,16 +166,16 @@ def _evaluate_route(formula, penalty, sf, prob, spec):
     if formula == "simple":
         return idn.overshoot_functional_simple(penalty, sf, prob, membership=membership)
     if formula == "zero_extension":
-        return idn.overshoot_zero_extension(_penalty_f(spec, sf), sf, prob)
+        return idn.overshoot_zero_extension(_penalty_f(spec, scale), sf, prob)
     raise SpecError(f"unknown formula {formula!r}", field="formula")
 
 
 def cmd_eval(args):
     spec = _load_spec(args.spec)
-    model, prob, sf = _build_problem(spec)
-    penalty = _build_penalty(spec, prob, sf)
+    model, prob, scale = _build_problem(spec)
+    penalty = _build_penalty(spec, prob, scale)
     formula = spec.get("formula", "auto")
-    val = _evaluate_route(formula, penalty, sf, prob, spec)
+    val = _evaluate_route(formula, penalty, scale, prob, spec)
     _emit(_gs_payload(val), _gs_rows(val), args)
     return 0
 
@@ -198,8 +207,8 @@ def cmd_scale(args):
 
 def cmd_mc(args):
     spec = _load_spec(args.spec)
-    model, prob, sf = _build_problem(spec)
-    f = _penalty_f(spec, sf)
+    model, prob, scale = _build_problem(spec)
+    f = _penalty_f(spec, scale)
     scheme, paths = _mc_settings(spec, args)
     est = mc.estimate_overshoot_functional(model, f, prob.a, prob.b, prob.q,
                                            prob.x, scheme, paths)
@@ -213,8 +222,9 @@ def cmd_mc(args):
 
 def cmd_compare(args):
     spec = _load_spec(args.spec)
-    model, prob, sf = _build_problem(spec)
-    f = _penalty_f(spec, sf)
+    model, prob, scale = _build_problem(spec)
+    sf = scale()
+    f = _penalty_f(spec, scale)
     tol = args.tol if args.tol is not None else 1e-6
 
     penalties = {kind: extend_penalty(f, prob.a, prob.b, kind)
@@ -257,7 +267,7 @@ def cmd_compare(args):
 
 def _modified_common(args, refracted):
     spec = _load_spec(args.spec)
-    model, prob, sf = _build_problem(spec)
+    model, prob, scale = _build_problem(spec)
     provider_name = spec.get("provider", "mc")
     if provider_name == "closed_form":
         raise SpecError("the closed_form provider takes user-supplied formula "
@@ -267,7 +277,7 @@ def _modified_common(args, refracted):
         raise SpecError(f"unknown provider {provider_name!r}", field="provider")
     scheme, paths = _mc_settings(spec, args)
     provider = rr.MonteCarloProvider(scheme=scheme, n_paths=paths)
-    penalty = _build_penalty(spec, prob, sf)
+    penalty = _build_penalty(spec, prob, scale)
     a, b, q, x = prob.a, prob.b, prob.q, prob.x
     if refracted:
         rspec = rr.RefractedSpec(model=model, delta=float(_require(spec, "delta")),

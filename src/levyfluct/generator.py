@@ -22,8 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from .errors import ConditionNotMetError, ModelError, NumericalAccuracyError
-from .quadrature import quad, quad_log
+from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
+                     NumericalAccuracyError)
+from .quadrature import LOG, PLAIN, TAIL, check_rows, quad_rows
 
 _LARGE = 1e8
 # membership spot checks: grid on (a, b], continuity tolerance, and the tail
@@ -75,17 +76,25 @@ class ExtendedPenalty:
     deriv_bound: float
     second_bound: float
     kinks: tuple = ()              # y-locations where h is not smooth (quadrature breaks)
+    # f_tilde reproduces f just below a, so h is one smooth function across a
+    continues_f: bool = False
     recipe: str = "custom"
     # optional exact form of f~(x-th) - f~(x) + f~'(x) th for x-th still above a;
     # kills catastrophic cancellation against singular jump densities
     compensated_diff: Optional[Callable] = None
 
     def h(self, y):
-        if y > self.a:
-            return float(self.f_tilde(y))
-        if y == self.a:
-            return self.right_limit_at_a
-        return float(self.f(y))
+        y = np.asarray(y, dtype=float)
+        ys = np.atleast_1d(y)
+        out = np.empty(ys.shape)
+        above, at = ys > self.a, ys == self.a
+        below = ~(above | at)
+        if above.any():
+            out[above] = self.f_tilde(ys[above])
+        if below.any():
+            out[below] = self.f(ys[below])
+        out[at] = self.right_limit_at_a
+        return out.item() if y.ndim == 0 else out
 
 
 def _left_slope(f, a, h=1e-6):
@@ -94,26 +103,43 @@ def _left_slope(f, a, h=1e-6):
     return 2.0 * d2 - d1
 
 
-def _numeric_second(func, y, h):
-    return (float(func(y + h)) - 2.0 * float(func(y)) + float(func(y - h))) / (h * h)
-
-
 def _grid_bound(func, lo, hi, n=257):
     ys = np.linspace(lo, hi, n + 2)[1:-1]
-    vals = np.array([abs(float(func(y))) for y in ys])
-    return float(np.max(vals))
+    return float(np.max(np.abs(func(ys))))
+
+
+def array_function(func, probe):
+    """``func`` if it maps an array of ``probe`` points elementwise, else
+    ``np.vectorize(func)``, so that scalar-only callables work on arrays."""
+    probe = np.asarray(probe, dtype=float)
+    try:
+        with np.errstate(all="ignore"):
+            if np.shape(func(probe)) == probe.shape:
+                return func
+    except Exception:
+        pass
+    return np.vectorize(func, otypes=[float])
+
+
+def penalty_function(f, a, b):
+    """``array_function`` of a penalty on (-inf, a], probed below a."""
+    return array_function(f, a - (b - a) * np.array([1.0, 0.5, 0.0]))
 
 
 def extend_penalty(f, a, b, recipe, f_kinks=()):
     """Build an ExtendedPenalty from a penalty callable and a recipe.
 
     ``f_kinks`` lists non-smooth points of the penalty itself (e.g. 0 for a
-    scale-function penalty); they become forced quadrature breaks.
+    scale-function penalty); they become forced quadrature breaks.  The
+    penalty and custom callables are probed once with a small array and
+    vectorised with ``np.vectorize`` when they do not map arrays elementwise.
     """
     if not a < b:
         raise ModelError("need a < b")
     if isinstance(recipe, str):
         recipe = ExtensionRecipe(kind=recipe)
+    inside = a + (b - a) * np.array([0.25, 0.5, 0.75])
+    f = penalty_function(f, a, b)
     f_at_a = float(f(a))
     kind = recipe.kind
     comp_diff = None
@@ -125,10 +151,10 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
         else:
             slope, level = 0.0, (1.0 if kind == "constant_one" else 0.0)
         f_tilde = lambda y: slope * y + level
-        deriv = lambda y: slope
-        second = lambda y: 0.0
+        deriv = lambda y: slope + 0.0 * y
+        second = lambda y: 0.0 * y
         right_limit = slope * a + level
-        comp_diff = lambda x, th: 0.0
+        comp_diff = lambda x, th: 0.0 * th
     elif kind == "scale_function":
         sf = recipe.scale
         if sf is None:
@@ -140,16 +166,22 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
     elif kind == "custom":
         if recipe.f_tilde is None:
             raise ModelError("custom recipe needs f_tilde")
-        f_tilde = recipe.f_tilde
+        f_tilde = array_function(recipe.f_tilde, inside)
         deriv = recipe.f_tilde_deriv
         if deriv is None:
             step = 1e-6 * (b - a)
-            deriv = lambda y, _s=step: (float(f_tilde(min(y, b))) - float(f_tilde(y - _s))) / _s
+            deriv = lambda y, _s=step: (f_tilde(np.minimum(y, b)) - f_tilde(y - _s)) / _s
+        else:
+            deriv = array_function(deriv, inside)
         second = recipe.f_tilde_second
         if second is None:
             step2 = 1e-5 * (b - a)
-            second = lambda y, _s=step2: _numeric_second(
-                f_tilde, min(max(y, a + 2 * _s), b - 2 * _s), _s)
+
+            def second(y, _s=step2):
+                y = np.clip(y, a + 2 * _s, b - 2 * _s)
+                return (f_tilde(y + _s) - 2.0 * f_tilde(y) + f_tilde(y - _s)) / (_s * _s)
+        else:
+            second = array_function(second, inside)
         right_limit = float(f_tilde(a + 1e-12 * max(1.0, abs(a))))
     else:
         raise ModelError(f"unknown extension kind {kind!r}")
@@ -165,12 +197,20 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
     second_bound = _grid_bound(second, a, b)
     kinks = tuple(sorted(set(float(k) for k in f_kinks)
                          | ({a} if not continuous else set())))
+    below = a - SMALL_CUT * np.array([1.0, 0.75, 0.5, 0.25, 0.0])
+    try:
+        with np.errstate(all="ignore"):
+            fb = np.asarray(f(below), dtype=float)
+            continues_f = bool(np.all(np.abs(np.asarray(f_tilde(below), dtype=float) - fb)
+                                      <= 4.0 * np.finfo(float).eps * np.abs(fb)))
+    except Exception:
+        continues_f = False
     return ExtendedPenalty(
         a=float(a), b=float(b), f=f, f_tilde=f_tilde, f_tilde_left_deriv=deriv,
         f_tilde_second=second, right_limit_at_a=right_limit, f_at_a=f_at_a,
         continuous_at_a=continuous, smooth_junction=smooth_junction,
         deriv_bound=deriv_bound, second_bound=second_bound, kinks=kinks,
-        recipe=kind, compensated_diff=comp_diff)
+        continues_f=continues_f, recipe=kind, compensated_diff=comp_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +261,31 @@ def check_membership(penalty, model):
     a, b = penalty.a, penalty.b
     rep = MembershipReport()
     ys = np.linspace(a, b, MEMBERSHIP_GRID + 1)[1:]
-    vals = np.array([float(penalty.f_tilde(y)) for y in ys])
+    vals = np.asarray(penalty.f_tilde(ys), dtype=float)
     rep.items.append(CheckItem("locally_bounded", bool(np.all(np.isfinite(vals))),
                                float(np.max(np.abs(vals))),
                                f"sup |f~| on grid = {np.max(np.abs(vals)):.4g}"))
     delta = (b - a) * 1e-7
     probe = ys[:-1]
-    jumps = np.array([abs(float(penalty.f_tilde(y + delta)) - float(penalty.f_tilde(y)))
-                      for y in probe])
+    jumps = np.abs(penalty.f_tilde(probe + delta) - penalty.f_tilde(probe))
     jump_tol = max(MEMBERSHIP_TOL, 10.0 * (1.0 + penalty.deriv_bound) * delta)
     rep.items.append(CheckItem("continuous_on_ab", bool(np.max(jumps) <= jump_tol),
                                float(np.max(jumps)),
                                f"max grid jump {np.max(jumps):.3g} (tol {jump_tol:.3g})"))
 
+    # int_lam^inf f(x - t) Pi(dt) at every start x, one row each
     lam = TAIL_FACTOR * (b - a)
     xs = np.linspace(a, b, TAIL_POINTS + 2)[1:-1]
-    tails = np.empty(TAIL_POINTS)
     dens = model.measure.density
-    for i, x in enumerate(xs):
-        v1, _ = quad(lambda t: float(penalty.f(x - t)) * float(dens(t)), lam, lam + 30.0,
-                     epsabs=1e-11, epsrel=1e-9)
-        v2, _ = quad(lambda t: float(penalty.f(x - t)) * float(dens(t)), lam + 30.0, np.inf,
-                     epsabs=1e-11, epsrel=1e-9)
-        tails[i] = v1 + v2
-    tail_ok = bool(np.all(np.isfinite(tails)) and np.max(np.abs(tails)) < _LARGE)
+    tails, errs = quad_rows(
+        lambda i, t: penalty.f(xs[i] - t) * dens(t),
+        np.tile([lam, lam + 30.0], TAIL_POINTS), np.tile([lam + 30.0, np.inf], TAIL_POINTS),
+        rows=np.repeat(np.arange(TAIL_POINTS), 2), maps=np.tile([PLAIN, TAIL], TAIL_POINTS),
+        epsabs=1e-11, epsrel=1e-9, panel_tol=None)
+    # a divergent tail fails the check; a finite one must have converged
+    finite = np.isfinite(tails)
+    check_rows(tails[finite], errs[finite])
+    tail_ok = bool(np.all(finite) and np.max(np.abs(tails)) < _LARGE)
     rep.items.append(CheckItem("tail_integral_bounded", tail_ok,
                                float(np.max(np.abs(tails))),
                                f"sup_x |int_lam f(x-th) Pi(dth)| = {np.max(np.abs(tails)):.4g} at lam={lam:g}"))
@@ -256,7 +297,7 @@ def check_membership(penalty, model):
                                    bool(math.isfinite(sb) and sb < _LARGE), sb,
                                    f"sup |h''| on grid = {sb:.4g}"))
     else:
-        dgrid = np.array([float(penalty.f_tilde_left_deriv(y)) for y in ys[:-1]])
+        dgrid = np.asarray(penalty.f_tilde_left_deriv(ys[:-1]), dtype=float)
         tv = float(np.sum(np.abs(np.diff(dgrid))))
         ok = bool(np.all(np.isfinite(dgrid)) and np.max(np.abs(dgrid)) < _LARGE and tv < _LARGE)
         rep.items.append(CheckItem("left_derivative_bv", ok, tv,
@@ -282,85 +323,110 @@ def check_membership(penalty, model):
 # generator evaluation
 # ---------------------------------------------------------------------------
 
+def _panels(lo, hi, cand):
+    """Per-point panels of [lo_i, hi_i] cut at the candidate breaks strictly inside.
+
+    ``cand`` holds one row of candidate breaks per point (inf where none).
+    Returns the point index, left and right end of every panel, point-major.
+    """
+    inner = np.where((cand > lo[:, None]) & (cand < hi[:, None]), cand, np.inf)
+    inner.sort(axis=1)
+    edges = np.column_stack([lo, np.minimum(inner, hi[:, None]), hi])
+    left, right = edges[:, :-1], edges[:, 1:]
+    used = right > left
+    pt = np.broadcast_to(np.arange(lo.size)[:, None], used.shape)
+    return pt[used], left[used], right[used]
+
+
 def apply_generator(penalty, model, q, x):
-    """(A - q) applied to the extension at x in (a, b).
+    """(A - q) applied to the extension at x in (a, b); x may be an array.
 
     The jump integral is split at the Taylor-compensated region near 0, at
     every kink image x - k, at the penalty/extension branch switch x - a and
     at the compensation cutoff 1; the [0, SMALL_CUT] panel is summed as
-    h''(x)/2 * int th^2 Pi(dth) when the measure has infinite activity.
+    h''(x)/2 * int th^2 Pi(dth) when the measure has infinite activity.  The
+    panels of every point are rows of one ``quad_rows`` call.
     """
     a, b = penalty.a, penalty.b
-    if not (a < x < b):
-        raise ModelError(f"generator evaluation needs x in ({a}, {b}); got {x}")
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if not np.all((a < x) & (x < b)):
+        bad = x[~((a < x) & (x < b))][0]
+        raise ModelError(f"generator evaluation needs x in ({a}, {b}); got {bad}")
     meas = model.measure
-    hx = float(penalty.f_tilde(x))
-    hpx = float(penalty.f_tilde_left_deriv(x))
+    hx = np.asarray(penalty.f_tilde(x), dtype=float)
+    hpx = np.asarray(penalty.f_tilde_left_deriv(x), dtype=float)
     val = model.gamma * hpx - q * hx
     if model.sigma > 0.0:
-        val += 0.5 * model.sigma ** 2 * float(penalty.f_tilde_second(x))
+        val = val + 0.5 * model.sigma ** 2 * penalty.f_tilde_second(x)
     if meas.family == "none":
-        return val
+        return val.item() if scalar else val
 
-    h = penalty.h
-    dens = meas.density
-    cdiff = penalty.compensated_diff
-
-    def comp(th):
-        if cdiff is not None and th < x - a:
-            return cdiff(x, th) * float(dens(th))
-        return (h(x - th) - hx + hpx * th) * float(dens(th))
-
-    def plain(th):
-        return (h(x - th) - hx) * float(dens(th))
-
-    total = 0.0
-    toterr = 0.0
-    lo = 0.0
+    n = x.size
+    # the breaks x - a and x - k of every point, duplicates dropped
+    cand = np.column_stack([x - a] + [np.where(k < x, x - k, np.inf)
+                                      for k in penalty.kinks if k != a])
+    total = np.zeros(n)
+    lo = np.zeros(n)
     if meas.activity == _models.INFINITE_ACTIVITY:
-        nearest = x - a
-        for k in penalty.kinks:
-            if k < x:
-                nearest = min(nearest, x - k)
         # the extension is smooth up to the first break, so the Taylor panel
-        # may run all the way to it when that is closer than the default cut
-        cut = min(SMALL_CUT, nearest)
-        h2x = float(penalty.f_tilde_second(x))
-        total += 0.5 * h2x * meas.squared_mass_below(cut)
-        lo = cut
+        # may run all the way to it when that is closer than the default cut;
+        # a is no break when the extension continues f across it (the
+        # compensated difference there would lose eps * |h| * Pi(x - a, inf))
+        smooth_at_a = penalty.continues_f and a not in penalty.kinks
+        lo = np.minimum(SMALL_CUT, cand[:, int(smooth_at_a):].min(axis=1, initial=np.inf))
+        total = 0.5 * penalty.f_tilde_second(x) * meas.squared_mass_below(lo)
+    near_pt, near_lo, near_hi = _panels(lo, np.ones(n), cand)
+    far_max = np.max(np.where(np.isfinite(cand) & (cand > 1.0), cand, 1.0), axis=1)
+    hi_cut = np.maximum(np.maximum(2.0, far_max + 1.0), x - a + 1.0)
+    far_pt, far_lo, far_hi = _panels(np.ones(n), hi_cut, cand)
+    n_near = near_pt.size
+    # rows: every near panel, then one far row and one tail row per point
+    pt = np.concatenate([near_pt, np.arange(n), np.arange(n)])
+    rows = np.concatenate([np.arange(n_near), n_near + far_pt, n_near + n + np.arange(n)])
+    maps = np.concatenate([np.where(near_lo > 0.0, LOG, PLAIN),
+                           np.full(far_pt.size, PLAIN), np.full(n, TAIL)])
+    slope = np.concatenate([hpx[near_pt], np.zeros(2 * n)])
+    h, dens, cdiff = penalty.h, meas.density, penalty.compensated_diff
 
-    breaks = sorted({x - a} | {x - k for k in penalty.kinks if k < x})
-    near = [p for p in breaks if lo < p < 1.0]
-    edges = [lo] + near + [1.0]
+    def integrand(r, th):
+        # near rows: h(x-th) - h(x) + h'(x) th, or its exact form while x - th > a
+        p = pt[r]
+        xr = x[p]
+        d = np.empty(th.shape)
+        exact = (r < n_near) & (th < xr - a) if cdiff is not None else np.zeros(th.shape, bool)
+        if exact.any():
+            d[exact] = cdiff(xr[exact], th[exact])
+        rest = ~exact
+        d[rest] = h(xr[rest] - th[rest]) - hx[p[rest]] + slope[r[rest]] * th[rest]
+        return d * dens(th)
+
     # compensated-integrand noise (~eps * sup|h| * density) can dominate tiny
-    # panels near a singular density; failure is judged on the assembled value
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        if e0 > 0.0:
-            # log space: power-law densities span many decades near 0
-            v, e = quad_log(comp, e0, e1, epsabs=1e-12, epsrel=1e-10,
-                            panel_tol=math.inf)
-        else:
-            v, e = quad(comp, e0, e1, epsabs=1e-12, epsrel=1e-10,
-                        panel_tol=math.inf)
-        total += v
-        toterr += e
-    far = [p for p in breaks if p > 1.0]
-    hi_cut = max(2.0, (max(far) if far else 1.0) + 1.0, x - a + 1.0)
-    v, e = quad(plain, 1.0, hi_cut, points=far, epsabs=1e-12, epsrel=1e-10)
-    total += v
-    toterr += e
-    v, e = quad(plain, hi_cut, np.inf, epsabs=1e-12, epsrel=1e-10)
-    total += v
-    toterr += e
+    # panels near a singular density; near panels are judged on the assembled value
+    vals, errs = quad_rows(integrand, np.concatenate([near_lo, far_lo, hi_cut]),
+                           np.concatenate([near_hi, far_hi, np.full(n, np.inf)]),
+                           rows=rows, maps=maps, epsabs=1e-12, epsrel=1e-10,
+                           panel_tol=None)
+    check_rows(vals[:n_near], errs[:n_near], np.inf, where=x[near_pt])
+    check_rows(vals[n_near:n_near + n], errs[n_near:n_near + n], where=x)
+    tails = vals[n_near + n:]
+    if not np.all(np.isfinite(tails)):
+        z = x[np.argmin(np.isfinite(tails))]
+        raise HypothesisViolationError(f"divergent jump-tail integral at z = {z:g}")
+    check_rows(tails, errs[n_near + n:], where=x)
+    total = total + np.bincount(pt, vals, n)
+    toterr = np.bincount(pt, errs, n)
     out = val + total
-    if toterr > max(1e-7, 1e-5 * abs(out)):
+    bad = toterr > np.maximum(1e-7, 1e-5 * np.abs(out))
+    if bad.any():
         raise NumericalAccuracyError("generator jump integral did not converge",
-                                     achieved=toterr)
-    return out
+                                     achieved=float(toterr[bad][0]))
+    return out.item() if scalar else out
 
 
 def generator_closure(penalty, model, q):
-    """z -> (A - q) h(z); looks ``apply_generator`` up in this module at each call."""
+    """z -> (A - q) h(z) on arrays; looks ``apply_generator`` up in this module at each call."""
     return lambda z: apply_generator(penalty, model, q, z)
 
 

@@ -12,7 +12,6 @@ extensively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,9 @@ from . import models as _models
 from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      NumericalAccuracyError)
 from .generator import (TAIL_FACTOR, check_membership, generator_closure,
-                        require_simple_form)
-from .quadrature import quad, quad_log, quad_singular_left
+                        penalty_function, require_simple_form)
+from .quadrature import (LOG, PLAIN, SQRT, TAIL, breaks, check_rows, quad_rows,
+                         quad_singular_left)
 from .scale import ScaleFunction
 
 # a resolvent density below -RESOLVENT_FLOOR is a numerical failure, not roundoff
@@ -98,48 +98,45 @@ def creeping_transform(sf, prob):
 
 
 def _resolvent_integral(sf, prob, G, kinks=()):
-    """int_a^b G(z) * [W(x-a)W(b-z)/W(b-a) - W(x-z)] dz.
+    """int_a^b G(z) * [W(x-a)W(b-z)/W(b-a) - W(x-z)] dz, with G taking arrays.
 
     Panels break at z = x (kink of W(x-z)) and at declared kinks; the panel
     touching a uses the square-root graded substitution, which absorbs both
     the W' blow-up of unbounded-variation models and jump-tail factors in G
-    that diverge at a.
+    that diverge at a.  Both panels are rows of one ``quad_rows`` call.
     """
     a, b, x = prob.a, prob.b, prob.x
     ratio = float(sf.w(x - a) / sf.w(b - a))
 
-    def integrand(z):
-        u = ratio * float(sf.w(b - z)) - float(sf.w(x - z))
-        return G(z) * u
+    def integrand(r, z):
+        return G(z) * (ratio * sf.w(b - z) - sf.w(x - z))
 
-    pts = sorted(k for k in kinks if a < k < b)
+    left, right = breaks(a, x, kinks), breaks(x, b, kinks)
     # at x = b the second panel is empty and adds exact zeros
-    v1, e1 = quad_singular_left(integrand, a, x, points=pts)
-    v2, e2 = quad(integrand, x, b, points=pts)
-    return v1 + v2, e1 + e2
+    vals, errs = quad_rows(integrand, np.concatenate([left[0], right[0]]),
+                           np.concatenate([left[1], right[1]]),
+                           rows=np.repeat([0, 1], [left[0].size, right[0].size]),
+                           maps=np.repeat([SQRT, PLAIN], [left[0].size, right[0].size]))
+    return float(vals.sum()), float(errs.sum())
 
 
 def _scale_weighted_integral(sf, G, a, hi, kinks=()):
-    """int_a^hi G(z) W(hi - z) dz.
+    """int_a^hi G(z) W(hi - z) dz, with G taking arrays.
 
     Split around a pivot value of G: the constant part integrates exactly
     through the W antiderivative (so constant-generator cases reproduce the
     Z identity to machine precision; adaptive quadrature alone resolves the
     many-piece interpolant only to a few 1e-9), and only the residual goes
-    through adaptive quadrature.  A generator blow-up at z = a sits at the
-    right endpoint of the substituted integral, where the adaptive
-    extrapolation handles it.
+    through adaptive quadrature, with the square-root graded substitution at
+    z = a, where the generator may blow up.
     """
     span = hi - a
-    g_ref = G(a + 0.5 * span)
+    g_ref = float(G(a + 0.5 * span))
     base = g_ref * float(sf.w_antiderivative(span))
-
-    def residual(u):
-        return (G(hi - u) - g_ref) * float(sf.w(u))
-
-    pts = sorted(hi - k for k in kinks if a < k < hi)
-    corr, err = quad(residual, 0.0, span, points=pts)
-    return base + corr, err
+    lo, up = breaks(a, hi, kinks)
+    corr, err = quad_rows(lambda r, z: (G(z) - g_ref) * sf.w(hi - z), lo, up,
+                          rows=np.zeros(lo.size, dtype=np.intp), maps=SQRT)
+    return base + float(corr[0]), float(err[0])
 
 
 def _check_alignment(penalty, prob):
@@ -227,18 +224,22 @@ def overshoot_zero_extension(f, sf, prob):
     lam_cap = TAIL_FACTOR * (b - a)
 
     def G0(z):
+        # int_{z-a}^inf f(z - t) Pi(dt), one row per z: the density may span
+        # many decades when z is close to a, so the first panel is in log space
+        z = np.atleast_1d(np.asarray(z, dtype=float))
         lo = z - a
-        mid = max(lo + 1.0, lam_cap)
-        integrand = lambda t: float(f(z - t)) * float(dens(t))
-        # the density may span many decades when z is close to a
-        v1, _ = quad_log(integrand, lo, mid, epsabs=1e-12, epsrel=1e-10)
-        v2, _ = quad(integrand, mid, np.inf, epsabs=1e-12, epsrel=1e-10)
-        out = v1 + v2
-        if not math.isfinite(out):
+        mid = np.maximum(lo + 1.0, lam_cap)
+        ends = np.column_stack([lo, mid, np.full(z.size, np.inf)])
+        out, errs = quad_rows(lambda r, t: f(z[r] - t) * dens(t), ends[:, :2], ends[:, 1:],
+                              rows=np.repeat(np.arange(z.size), 2),
+                              maps=np.tile([LOG, TAIL], z.size), panel_tol=None)
+        if not np.all(np.isfinite(out)):
             raise HypothesisViolationError(
-                f"divergent jump-tail integral at z = {z:g}")
+                f"divergent jump-tail integral at z = {z[np.argmin(np.isfinite(out))]:g}")
+        check_rows(out, errs, where=z)
         return out
 
+    f = penalty_function(f, a, b)
     integral, quad_err = _resolvent_integral(sf, prob, G0)
     f_at_a = float(f(a))
     creep = f_at_a * creeping_transform(sf, prob)
@@ -317,7 +318,7 @@ def mass_balance_gap(sf, prob):
     used by tests and the comparison command.
     """
     a, b, q, x = prob.a, prob.b, prob.q, prob.x
-    res_int, _ = _resolvent_integral(sf, prob, lambda z: 1.0)
+    res_int, _ = _resolvent_integral(sf, prob, np.ones_like)
     up = two_sided_exit_up(sf, prob)
     down = float(sf.z(x - a) - sf.w(x - a) * sf.z(b - a) / sf.w(b - a))
     return abs(q * res_int + up + down - 1.0)

@@ -87,8 +87,8 @@ class LevyMeasureSpec:
         """int_0^eps theta^2 Pi(dtheta)."""
         if self.mass2_below is not None:
             return self.mass2_below(eps)
-        val, _ = quad(lambda t: t * t * self.density(t), 0.0, eps)
-        return val
+        return np.vectorize(
+            lambda e: quad(lambda t: t * t * float(self.density(t)), 0.0, e)[0])(eps)
 
 
 def _zero_tail(theta):

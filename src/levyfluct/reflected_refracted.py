@@ -21,9 +21,9 @@ import numpy as np
 from . import models as _models
 from . import montecarlo as mc
 from .errors import UnsupportedCaseError
-from .generator import generator_closure
+from .generator import array_function, generator_closure
 from .identities import GerberShiuValue, _check_alignment
-from .quadrature import quad_singular_left
+from .quadrature import SQRT, breaks, quad_rows
 
 # 3-point Gauss-Legendre on [-1, 1]
 _GL_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -158,34 +158,37 @@ class ClosedFormProvider:
             source="literature_closed_form",
             boundary=float(self.boundary_fn(spec)), boundary_se=0.0,
             creeping=creep, creeping_se=0.0,
-            resolvent=lambda z: float(self.resolvent_fn(spec, z)))
+            resolvent=lambda z: self.resolvent_fn(spec, z))
 
     reflected = _build
     refracted = _build
 
 
 def _integral_against_ingredients(Gfunc, ing, a, b, splits=()):
-    """int_a^b G(z) * resolvent(z) dz plus its propagated MC uncertainty."""
+    """int_a^b G(z) * resolvent(z) dz plus its propagated MC uncertainty.
+
+    ``Gfunc`` and a closed-form resolvent may be scalar-only; they are
+    vectorised when they do not take arrays.
+    """
+    probe = a + (b - a) * np.array([0.25, 0.5, 0.75])
+    Gfunc = array_function(Gfunc, probe)
     if ing.resolvent is not None:
-        pts = sorted(s for s in splits if a < s < b)
-        val, err = quad_singular_left(lambda z: Gfunc(z) * ing.resolvent(z), a, b,
-                                      points=pts, panel_tol=1e-6)
-        return val, err
-    total = 0.0
-    spread = 0.0
+        resolvent = array_function(ing.resolvent, probe)
+        lo, hi = breaks(a, b, splits)
+        val, err = quad_rows(lambda r, z: Gfunc(z) * resolvent(z), lo, hi,
+                             rows=np.zeros(lo.size, dtype=np.intp), maps=SQRT,
+                             panel_tol=1e-6)
+        return float(val[0]), float(err[0])
+    # 3-point Gauss-Legendre on every bin, cut at the splits inside it; G is
+    # evaluated at every node in one call
     edges = ing.edges
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k], edges[k + 1]
-        segs = [lo] + [s for s in splits if lo < s < hi] + [hi]
-        gint = 0.0
-        for s0, s1 in zip(segs[:-1], segs[1:]):
-            mid = 0.5 * (s0 + s1)
-            half = 0.5 * (s1 - s0)
-            gint += half * float(np.sum(_GL_WEIGHTS * [Gfunc(mid + half * t)
-                                                       for t in _GL_NODES]))
-        total += gint * ing.density[k]
-        spread += abs(gint) * ing.density_se[k]
-    return total, spread
+    cuts = np.union1d(edges, [s for s in splits if edges[0] < s < edges[-1]])
+    mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * np.diff(cuts)
+    bins = np.searchsorted(edges, mid) - 1
+    g = np.asarray(Gfunc((mid[:, None] + half[:, None] * _GL_NODES).ravel()), dtype=float)
+    seg = half * (g.reshape(mid.size, _GL_NODES.size) * _GL_WEIGHTS).sum(axis=1)
+    gint = np.bincount(bins, seg, edges.size - 1)
+    return float(np.sum(gint * ing.density)), float(np.sum(np.abs(gint) * ing.density_se))
 
 
 def _modified_overshoot(penalty, spec, ingredients, G, weight, splits, formula):
@@ -237,10 +240,9 @@ def refracted_overshoot(penalty, spec, provider):
     plain = generator_closure(penalty, spec.model, spec.q)
 
     def G(z):
+        z = np.asarray(z, dtype=float)
         out = plain(z)
-        if z > c:
-            out -= delta * float(penalty.f_tilde_left_deriv(z))
-        return out
+        return np.where(z > c, out - delta * penalty.f_tilde_left_deriv(z), out)
 
     weight = float(penalty.f_tilde(spec.b))
     return _modified_overshoot(penalty, spec, provider.refracted, G, weight,

@@ -73,6 +73,36 @@ def _tilted_inverse(model, q, phi, x):
     return euler_inversion(transform, x, **INVERSION_PARAMS)
 
 
+def _exp_moments(phi, h):
+    """The moments I_k = int_0^h e^{phi t} t^k dt, k = 0..3, stacked on axis 0.
+
+    Where |phi h| <= 1 the series I_k = h^{k+1} sum_i (phi h)^i / (i! (k+1+i))
+    is summed to convergence (20 terms, smallest first).  Above that the
+    recursion I_k = (h^k e^{phi h} - k I_{k-1}) / phi is used; it cancels
+    badly for small phi h but loses only a few units in the last place here.
+    """
+    h = np.asarray(h, dtype=float)
+    mom = np.empty((4,) + h.shape)
+    small = np.abs(phi * h) <= 1.0
+    hs, hb = h[small], h[~small]
+    u = phi * hs
+    terms = [np.ones(hs.shape)]
+    for i in range(1, 20):
+        terms.append(terms[-1] * u / i)
+    for k in range(4):
+        acc = np.zeros(hs.shape)
+        for i in reversed(range(20)):
+            acc += terms[i] / (k + 1 + i)
+        mom[k, small] = hs ** (k + 1) * acc
+    e = np.exp(phi * hb)
+    prev = np.expm1(phi * hb) / phi
+    mom[0, ~small] = prev
+    for k in range(1, 4):
+        prev = (hb ** k * e - k * prev) / phi
+        mom[k, ~small] = prev
+    return mom
+
+
 class ScaleFunction:
     """Evaluator bundle for W^(q), its derivative and Z^(q) for one (model, q).
 
@@ -178,30 +208,10 @@ class ScaleFunction:
         self.tolerance_estimate = float(np.max(rel)) + 1e-10
 
     def _piece_integral(self, j, h):
-        """int_0^h W(x_j + t) dt on cache piece j, exact for e^{phi u} times its cubic.
-
-        The moments I_k = int_0^h e^{phi t} t^k dt, k = 0..3, take a short
-        series in phi where phi*h is small, else the recursion
-        I_k = (h^k e^{phi h} - k I_{k-1}) / phi.
-        """
-        phi = self.phi
-        mom = np.empty((4,) + h.shape)
-        small = np.abs(phi * h) < 1e-4
-        hs, hb = h[small], h[~small]
-        for k in range(4):
-            # I_k = sum_i phi^i h^{k+1+i} / (i! (k+1+i))
-            term = np.zeros(hs.shape)
-            for i in range(6):
-                term += phi ** i * hs ** (k + 1 + i) / (math.factorial(i) * (k + 1 + i))
-            mom[k, small] = term
-        e = np.exp(phi * hb)
-        prev = (e - 1.0) / phi
-        mom[0, ~small] = prev
-        for k in range(1, 4):
-            prev = (hb ** k * e - k * prev) / phi
-            mom[k, ~small] = prev
+        """int_0^h W(x_j + t) dt on cache piece j, exact for e^{phi u} times its cubic."""
+        mom = _exp_moments(self.phi, h)
         c = self._interp.c[:, j]      # p(t) = c0 t^3 + c1 t^2 + c2 t + c3, local t
-        return np.exp(phi * self._anti_nodes[j]) * (
+        return np.exp(self.phi * self._anti_nodes[j]) * (
             c[0] * mom[3] + c[1] * mom[2] + c[2] * mom[1] + c[3] * mom[0])
 
     def _build_exact_antiderivative(self, xs):

@@ -273,3 +273,33 @@ def test_eval_reflected_unknown_extension_kind(tmp_path, capsys):
         "mc": {"paths": 100, "seed": 4}})
     assert run(["eval-reflected", "--spec", spec]) == 2
     assert "penalty.extension" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_eval_divergent_jump_tail_is_numerical_failure(tmp_path, capsys):
+    spec = write_spec(tmp_path, "div.json", {
+        "model": JD_MODEL, "penalty": {"f": "exp(-2*y)", "extension": {"kind": "zero"}},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0, "formula": "general"})
+    assert run(["eval", "--spec", spec]) == 3
+    assert "divergent jump-tail integral at z = " in capsys.readouterr().err
+
+
+def test_refracted_without_w_builds_no_scale_function(tmp_path, monkeypatch):
+    import levyfluct.cli as cli
+
+    built = []
+
+    class Counting(cli.ScaleFunction):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ScaleFunction", Counting)
+    base = {"model": JD_MODEL, "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0,
+            "delta": 0.1, "c": 1.0, "mc": {"paths": 200, "dt": 4e-3, "seed": 5}}
+    plain = write_spec(tmp_path, "plain.json", dict(base, penalty={"f": "exp(y)"}))
+    assert run(["eval-refracted", "--spec", plain]) == 0
+    assert built == []
+    with_w = write_spec(tmp_path, "w.json", dict(base, penalty={"f": "1 + 0*W(1)"}))
+    assert run(["eval-refracted", "--spec", with_w]) == 0
+    assert len(built) == 1

@@ -210,3 +210,99 @@ def test_custom_recipe_requires_f_tilde():
         extend_penalty(ONE, A, B, ExtensionRecipe(kind="custom"))
     with pytest.raises(ModelError):
         extend_penalty(ONE, A, B, "no_such_kind")
+
+
+# ---------------------------------------------------------------------------
+# the array path
+# ---------------------------------------------------------------------------
+
+from levyfluct import HypothesisViolationError  # noqa: E402
+
+LAM = 0.7
+EXP_RECIPE = ExtensionRecipe(kind="custom",
+                             f_tilde=lambda y: np.exp(LAM * y),
+                             f_tilde_deriv=lambda y: LAM * np.exp(LAM * y),
+                             f_tilde_second=lambda y: LAM ** 2 * np.exp(LAM * y))
+
+
+def _extensions(scale_cache, model):
+    sf = scale_cache.get(model, 0.05, x_max=4.0)
+    return {"zero": "zero", "constant_one": "constant_one", "affine_at_a": "affine_at_a",
+            "scale_function": ExtensionRecipe(kind="scale_function", scale=sf),
+            "custom": EXP_RECIPE}
+
+
+@pytest.mark.parametrize("name", ["brownian", "cramer_lundberg", "jump_diffusion",
+                                  "tempered_stable"])
+def test_array_generator_matches_scalar_calls(catalog, scale_cache, rng, name):
+    model = catalog[name]
+    f = lambda y: 1.0 + 0.5 * np.expm1(np.asarray(y, dtype=float))
+    xs = np.sort(A + (B - A) * rng.random(200))
+    for kind, recipe in _extensions(scale_cache, model).items():
+        p = extend_penalty(f, A, B, recipe)
+        arr = apply_generator(p, model, 0.05, xs)
+        one = np.array([apply_generator(p, model, 0.05, float(x)) for x in xs])
+        assert isinstance(apply_generator(p, model, 0.05, float(xs[0])), float)
+        # the closed-form W of a Gaussian model makes (A - q)W a cancellation
+        # of O(1) terms, so the tolerance is relative to 1 at least
+        np.testing.assert_allclose(arr, one, rtol=1e-14,
+                                   atol=1e-14 * max(1.0, float(np.max(np.abs(one)))),
+                                   err_msg=kind)
+
+
+def test_tempered_eigenfunction_near_both_ends(catalog):
+    model = catalog["tempered_stable"]
+    p = extend_penalty(lambda y: np.exp(LAM * y), A, B, EXP_RECIPE)
+    xs = np.array([A + 1e-6, A + 5e-7, B - 1e-6, B - 5e-7])
+    want = (laplace_exponent(model, LAM) - 0.05) * np.exp(LAM * xs)
+    np.testing.assert_allclose(apply_generator(p, model, 0.05, xs), want, rtol=5e-9)
+
+
+def test_scalar_only_custom_recipe_is_vectorised(catalog):
+    # the same quadratic written for floats only (float() rejects arrays) and
+    # for numpy: the same IEEE operations, so the same values
+    def poly(y, c0, c1, c2):
+        return c0 + c1 * y + c2 * y * y
+
+    scalar = ExtensionRecipe(kind="custom",
+                             f_tilde=lambda y: poly(float(y), 1.0, 0.5, 0.25),
+                             f_tilde_deriv=lambda y: poly(float(y), 0.5, 0.5, 0.0),
+                             f_tilde_second=lambda y: poly(float(y), 0.5, 0.0, 0.0))
+    numpy = ExtensionRecipe(kind="custom",
+                            f_tilde=lambda y: poly(np.asarray(y), 1.0, 0.5, 0.25),
+                            f_tilde_deriv=lambda y: poly(np.asarray(y), 0.5, 0.5, 0.0),
+                            f_tilde_second=lambda y: poly(np.asarray(y), 0.5, 0.0, 0.0))
+    xs = np.linspace(0.1, 1.9, 7)
+    for name, model in catalog.items():
+        p_scalar = extend_penalty(lambda y: math.exp(float(y)), A, B, scalar)
+        p_numpy = extend_penalty(np.exp, A, B, numpy)
+        np.testing.assert_allclose(apply_generator(p_scalar, model, 0.05, xs),
+                                   apply_generator(p_numpy, model, 0.05, xs),
+                                   rtol=1e-15, atol=1e-15, err_msg=name)
+
+
+def test_array_generator_domain_errors(catalog):
+    p = extend_penalty(ONE, A, B, "constant_one")
+    for bad in ([0.5, B + 0.1], [A, 1.0], [1.0, B]):
+        with pytest.raises(ModelError):
+            apply_generator(p, catalog["brownian"], 0.05, np.array(bad))
+
+
+def test_h_takes_right_limit_at_a_inside_arrays():
+    p = extend_penalty(lambda y: math.exp(y), A, B, "affine_at_a")
+    ys = np.array([A - 1.0, A, A + 0.5])
+    out = p.h(ys)
+    assert out[1] == p.right_limit_at_a
+    assert out[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert out[2] == pytest.approx(p.f_tilde(A + 0.5), rel=1e-15)
+    assert p.h(A) == p.right_limit_at_a
+    np.testing.assert_array_equal(p.compensated_diff(1.0, np.array([0.1, 0.2])), 0.0)
+
+
+def test_divergent_jump_tail_raises_hypothesis_violation(catalog):
+    # f(y) = exp(-2y) grows faster below a than the exponential jumps decay
+    p = extend_penalty(lambda y: np.exp(-2.0 * y), A, B, "constant_one")
+    with np.errstate(over="ignore"), pytest.raises(HypothesisViolationError, match="z = 1"):
+        apply_generator(p, catalog["jump_diffusion"], 0.05, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(HypothesisViolationError, match="z = 0.5"):
+        apply_generator(p, catalog["jump_diffusion"], 0.05, np.array([0.5, 1.0]))

@@ -255,3 +255,20 @@ def test_overshoot_of_scale_function_validation(catalog):
         # prob.q must equal the killing rate of the passage
         overshoot_of_scale_function(model, 0.1, 0.05, 0.1,
                                     ExitProblem(0.0, 2.0, 0.3, 0.5))
+
+
+def test_divergent_jump_tail_raises_hypothesis_violation(catalog, scale_cache):
+    # f(y) = exp(-2y) grows faster below a than the exponential jumps decay
+    from levyfluct import HypothesisViolationError
+
+    f = lambda y: np.exp(-2.0 * y)
+    sf = scale_cache.get(catalog["jump_diffusion"], 0.05, x_max=3.0)
+    prob = ExitProblem(A, B, 0.05, 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(HypothesisViolationError, match="z = "):
+            overshoot_zero_extension(f, sf, prob)
+        with pytest.raises(HypothesisViolationError, match="z = "):
+            overshoot_functional_general(extend_penalty(f, A, B, "zero"), sf, prob)
+        # the membership report records the divergent tail instead of raising
+        rep = check_membership(extend_penalty(f, A, B, "zero"), catalog["jump_diffusion"])
+    assert not rep.membership_ok

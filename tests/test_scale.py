@@ -265,3 +265,41 @@ def test_array_evaluators_match_point_loops(catalog):
     # recursion amplifies; 1e-10 is the precision the Z identity is held to
     np.testing.assert_allclose(sf.w_antiderivative(xs), loop_w_antiderivative(sf, xs),
                                rtol=1e-10, atol=0.0)
+
+
+def test_exponential_moments_against_mpmath():
+    # I_k = int_0^h e^{phi t} t^k dt across the series/recursion switch
+    mp = pytest.importorskip("mpmath")
+    from levyfluct.scale import _exp_moments
+
+    mp.mp.dps = 40
+    phi = 0.37
+    hs = np.geomspace(1e-8, 10.0, 49) / phi
+    mom = _exp_moments(phi, hs)
+    for i, h in enumerate(hs):
+        for k in range(4):
+            ref = mp.quad(lambda t: mp.exp(phi * t) * t ** k, [0, h])
+            assert abs(mom[k, i] - ref) <= 1e-14 * ref, (k, phi * h)
+
+
+def test_w_antiderivative_against_mpmath_quadrature(catalog):
+    # int_0^x of the cached W = e^{phi u} * interpolant, piece by piece in mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    sf = ScaleFunction(catalog["tempered_stable"], 0.05)
+    nodes, coef = sf._anti_nodes, sf._interp.c
+    phi = mp.mpf(sf.phi)
+
+    def piece(j, h):
+        c = [mp.mpf(float(v)) for v in coef[:, j]]
+        xj = mp.mpf(float(nodes[j]))
+        return mp.quad(lambda t: mp.exp(phi * (xj + t)) * (((c[0] * t + c[1]) * t + c[2]) * t
+                                                           + c[3]),
+                       [0, h], method="gauss-legendre")
+
+    for x in (0.05, 1.0):
+        j = int(np.searchsorted(nodes, x, side="right")) - 1
+        ref = mp.fsum(piece(i, mp.mpf(float(nodes[i + 1])) - mp.mpf(float(nodes[i])))
+                      for i in range(j))
+        ref += piece(j, mp.mpf(x) - mp.mpf(float(nodes[j])))
+        assert abs(sf.w_antiderivative(x) - ref) <= 1e-14 * ref, x

@@ -21,8 +21,8 @@ from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      NumericalAccuracyError)
 from .generator import (TAIL_FACTOR, check_membership, generator_closure,
                         penalty_function, require_simple_form)
-from .quadrature import (LOG, PLAIN, SQRT, TAIL, breaks, check_rows, quad_rows,
-                         quad_singular_left)
+from .quadrature import (LOG, PANEL_TOLERANCE, PLAIN, SQRT, TAIL, breaks, check_rows,
+                         quad_rows)
 from .scale import ScaleFunction
 
 # a resolvent density below -RESOLVENT_FLOOR is a numerical failure, not roundoff
@@ -97,7 +97,7 @@ def creeping_transform(sf, prob):
     return float(0.5 * sigma ** 2 * (sf.w_prime(x - a) - ratio * sf.w_prime(b - a)))
 
 
-def _resolvent_integral(sf, prob, G, kinks=()):
+def _resolvent_integral(sf, prob, G, kinks=(), *, panel_tol=PANEL_TOLERANCE):
     """int_a^b G(z) * [W(x-a)W(b-z)/W(b-a) - W(x-z)] dz, with G taking arrays.
 
     Panels break at z = x (kink of W(x-z)) and at declared kinks; the panel
@@ -112,11 +112,13 @@ def _resolvent_integral(sf, prob, G, kinks=()):
         return G(z) * (ratio * sf.w(b - z) - sf.w(x - z))
 
     left, right = breaks(a, x, kinks), breaks(x, b, kinks)
-    # at x = b the second panel is empty and adds exact zeros
+    sizes = [left[0].size, right[0].size]
+    # an empty panel (the second at x = b, the first at x = a) adds exact zeros
     vals, errs = quad_rows(integrand, np.concatenate([left[0], right[0]]),
                            np.concatenate([left[1], right[1]]),
-                           rows=np.repeat([0, 1], [left[0].size, right[0].size]),
-                           maps=np.repeat([SQRT, PLAIN], [left[0].size, right[0].size]))
+                           rows=np.repeat([0, 1], sizes),
+                           maps=np.repeat([SQRT, SQRT if x == a else PLAIN], sizes),
+                           panel_tol=panel_tol)
     return float(vals.sum()), float(errs.sum())
 
 
@@ -273,42 +275,36 @@ def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
                                 sf_x=None, sf_y=None):
     """E_x[e^{-p nu_a^-} W^(q)(Y_{nu_a^-}) 1{nu_a^- < nu_b^+}] for Y = X - delta*t.
 
-    Evaluated through the closed-form regrouping in which the generator
-    applied to W^(q) collapses to (q - p) W^(q) - delta W^(q)'; the left
-    integral panel uses a graded mesh because W^(q)' blows up at 0 for
-    unbounded-variation models when a = 0.
+    The general identity for Y with f~ = W^(q), whose generator collapses to
+    K = (q - p) W^(q) - delta W^(q)': W^(q)(x) - ratio * W^(q)(b) plus the
+    Y-resolvent integral of K.  The resolvent density vanishes at z = a, where
+    W^(q)' blows up for unbounded-variation models when a = 0.  ``sf_x`` must
+    be W^(q) of ``model``, ``sf_y`` W^(p) of ``model.shifted(delta)``.
     """
     a, b, x = prob.a, prob.b, prob.x
     if not (0.0 <= a <= x < b):
         raise ModelError("need 0 <= a <= x < b")
-    if delta < 0 or p_kill < 0 or q_inner < 0:
-        raise ModelError("delta, p and q must be nonnegative")
+    if not all(0.0 <= v < np.inf for v in (delta, p_kill, q_inner)):
+        raise ModelError("delta, p and q must be finite and nonnegative")
     if prob.q != p_kill:
         raise ModelError("prob.q must equal the killing rate p of the Y-passage")
+    shifted = model.shifted(delta)
     if sf_x is None:
         sf_x = ScaleFunction(model, q_inner, x_max=b + 1.0)
     if sf_y is None:
-        sf_y = ScaleFunction(model.shifted(delta), p_kill, x_max=b + 1.0)
-
-    qp = q_inner - p_kill
+        sf_y = ScaleFunction(shifted, p_kill, x_max=b + 1.0)
+    if (sf_x.q, sf_x.model, sf_y.q, sf_y.model) != (q_inner, model, p_kill, shifted):
+        raise ModelError("need sf_x = W^(q) of the model and sf_y = W^(p) of the shifted model")
 
     def K(z):
-        out = qp * float(sf_x.w(z))
-        if delta != 0.0:
-            out -= delta * float(sf_x.w_prime(z))
-        return out
+        out = (q_inner - p_kill) * sf_x.w(z)
+        return out - delta * sf_x.w_prime(z) if delta else out
 
-    def I(hi):
-        # panel_tol loosened: at a = 0 the W' blow-up leaves a mild residual
-        # in the error estimate even after the graded substitution
-        return quad_singular_left(lambda z: K(z) * float(sf_y.w(hi - z)), a, hi,
-                                  panel_tol=2e-5)
-
-    i_x, e1 = I(x)
-    i_b, e2 = I(b)
     ratio = float(sf_y.w(x - a) / sf_y.w(b - a))
-    value = float(sf_x.w(x)) - i_x - ratio * (float(sf_x.w(b)) - i_b)
-    return value
+    # panel_tol loosened: at a = 0 the W' blow-up leaves a mild residual
+    # in the error estimate even after the graded substitution
+    integral, _ = _resolvent_integral(sf_y, prob, K, panel_tol=2e-5)
+    return float(sf_x.w(x)) - ratio * float(sf_x.w(b)) + integral
 
 
 def mass_balance_gap(sf, prob):

@@ -394,7 +394,9 @@ def path_variation(model):
 
 
 def check_exit(a, b, q, x):
-    """The killed two-sided exit rule: a < b, a <= x <= b and q >= 0."""
+    """The killed two-sided exit rule: finite a < b, a <= x <= b and q >= 0."""
+    if not all(math.isfinite(v) for v in (a, b, x, q)):
+        raise ModelError("a, b, x and q must be finite")
     if not a < b:
         raise ModelError("need a < b")
     if not a <= x <= b:
@@ -404,7 +406,7 @@ def check_exit(a, b, q, x):
 
 
 def check_refraction(model, delta, c, a, b):
-    """The refraction rule: a < c < b, delta >= 0, delta below the natural drift.
+    """The refraction rule: a < c < b, finite delta >= 0, delta below the natural drift.
 
     delta = 0 is tolerated for degeneracy checks; a positive delta must stay
     below gamma + int_0^1 th Pi(dth) when small jumps are integrable, or the
@@ -412,8 +414,8 @@ def check_refraction(model, delta, c, a, b):
     """
     if not a < c < b:
         raise ModelError("need a < c < b")
-    if delta < 0:
-        raise ModelError("need delta >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ModelError("need finite delta >= 0")
     if (delta > 0 and model.measure.variation_part == INTEGRABLE
             and delta >= model.natural_drift):
         raise ModelError("need delta < gamma + int_0^1 th Pi(dth)")

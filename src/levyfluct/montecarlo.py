@@ -73,10 +73,10 @@ class SimScheme:
     bridge: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.eps <= 0:
-            raise ModelError("dt and eps must be positive")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ModelError("horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.eps < math.inf):
+            raise ModelError("dt and eps must be finite and positive")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ModelError("horizon must be finite and positive")
         if self.small_jump_mode not in ("auto", "gaussian_approx", "drift_only"):
             raise ModelError(f"unknown small_jump_mode {self.small_jump_mode!r}")
 

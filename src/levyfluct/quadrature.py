@@ -67,7 +67,9 @@ def quad_singular_left(f, lo, hi, *, points=None, **kwargs):
     with s <= 1/2 into a bounded integrand and softens stronger ones; this is
     the graded-mesh treatment for scale-function derivative blow-ups and for
     jump-tail factors diverging at the lower endpoint.  ``points`` are break
-    locations in the original coordinate.
+    locations in the original coordinate.  No package module calls it any
+    more (the SQRT map of ``quad_rows`` does this); it stays for callers
+    (bench/tracer.py wraps it).
     """
     umax = math.sqrt(hi - lo)
 

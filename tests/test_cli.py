@@ -303,3 +303,50 @@ def test_refracted_without_w_builds_no_scale_function(tmp_path, monkeypatch):
     with_w = write_spec(tmp_path, "w.json", dict(base, penalty={"f": "1 + 0*W(1)"}))
     assert run(["eval-refracted", "--spec", with_w]) == 0
     assert len(built) == 1
+
+
+# non-finite inputs are spec errors (exit 2), never NaN output or a traceback
+
+NONFINITE_BASE = {"model": JD_MODEL, "penalty": {"f": "1"},
+                  "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0}
+
+
+def test_refracted_nan_delta_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "refr.json", dict(NONFINITE_BASE, delta=float("nan"), c=1.0,
+                                                  mc={"paths": 200, "seed": 1}))
+    assert run(["eval-refracted", "--spec", spec]) == 2
+    assert "delta" in capsys.readouterr().err
+
+
+def test_mc_infinite_horizon_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "mc.json", dict(
+        NONFINITE_BASE, mc={"paths": 200, "seed": 1, "horizon": float("inf")}))
+    assert run(["mc", "--spec", spec]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_mc_nan_eps_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "mc.json", dict(
+        NONFINITE_BASE, mc={"paths": 200, "seed": 1, "eps": float("nan")}))
+    assert run(["mc", "--spec", spec]) == 2
+    assert "eps" in capsys.readouterr().err
+
+
+def test_eval_nan_q_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "eval.json", dict(NONFINITE_BASE, q=float("nan")))
+    assert run(["eval", "--spec", spec]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_python_m_levyfluct_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    spec = {"model": JD_MODEL, "q": 0.05, "grid": {"start": 0.1, "stop": 1.0, "n": 3}}
+    proc = subprocess.run([sys.executable, "-m", "levyfluct", "scale", "--spec", "-"],
+                          input=json.dumps(spec), capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)) == 3

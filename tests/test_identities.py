@@ -272,3 +272,117 @@ def test_divergent_jump_tail_raises_hypothesis_violation(catalog, scale_cache):
         # the membership report records the divergent tail instead of raising
         rep = check_membership(extend_penalty(f, A, B, "zero"), catalog["jump_diffusion"])
     assert not rep.membership_ok
+
+
+# ---------------------------------------------------------------------------
+# overshoot of W as the general identity
+# ---------------------------------------------------------------------------
+
+from levyfluct import quadrature
+
+OSF_CLOSED = ("brownian", "cramer_lundberg", "jump_diffusion")
+
+
+def osf_scale_functions(model, delta, p_kill, q_inner, b):
+    return (ScaleFunction(model, q_inner, x_max=b + 1.0),
+            ScaleFunction(model.shifted(delta), p_kill, x_max=b + 1.0))
+
+
+def osf(model, a, b, x, delta, p_kill, q_inner):
+    sf_x, sf_y = osf_scale_functions(model, delta, p_kill, q_inner, b)
+    return overshoot_of_scale_function(model, delta, p_kill, q_inner,
+                                       ExitProblem(a, b, p_kill, x), sf_x=sf_x, sf_y=sf_y)
+
+
+def osf_reference(sf_x, sf_y, delta, q_inner, prob):
+    """The identity for the two interpolants: 12-point Gauss-Legendre on every
+    cache piece of both, with the interpolant's exact derivative in K."""
+    a, b, x = prob.a, prob.b, prob.x
+    edges = np.unique(np.concatenate([[a, x, b], sf_x._anti_nodes,
+                                      b - sf_y._anti_nodes, x - sf_y._anti_nodes]))
+    edges = edges[(edges >= a) & (edges <= b)]
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * np.diff(edges)[:, None]
+    z = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * nodes
+    w_prime = np.exp(sf_x.phi * z) * (sf_x.phi * sf_x._interp(z) + sf_x._interp(z, 1))
+    k = (q_inner - prob.q) * sf_x.w(z) - delta * w_prime
+    ratio = sf_y.w(x - a) / sf_y.w(b - a)
+    u = ratio * sf_y.w(b - z) - sf_y.w(x - z)
+    return sf_x.w(x) - ratio * sf_x.w(b) + float(np.sum(k * u * half * weights))
+
+
+@pytest.mark.parametrize("a, b, x, delta, p_kill, q_inner",
+                         [(0.3, 1.0, 0.9, 0.2, 0.0, 0.3), (0.5, 2.5, 1.5, 0.1, 0.05, 0.1)])
+def test_overshoot_of_w_matches_piecewise_reference(catalog, a, b, x, delta, p_kill, q_inner):
+    model = catalog["tempered_stable"]
+    sf_x, sf_y = osf_scale_functions(model, delta, p_kill, q_inner, b)
+    prob = ExitProblem(a, b, p_kill, x)
+    got = overshoot_of_scale_function(model, delta, p_kill, q_inner, prob, sf_x=sf_x, sf_y=sf_y)
+    assert abs(got - osf_reference(sf_x, sf_y, delta, q_inner, prob)) <= 5e-8
+
+
+@pytest.mark.parametrize("x", [1.0, 1.9])
+def test_overshoot_of_w_vanishes_at_level_zero(catalog, x):
+    # Y ends at or below 0 = a, where W^(q) vanishes (it is W(0) = 0 for the
+    # unbounded-variation fixtures; the bounded-variation one never creeps)
+    assert abs(osf(catalog["tempered_stable"], 0.0, 2.0, x, 0.1, 0.05, 0.1)) <= 2e-8
+    for name in OSF_CLOSED:
+        assert abs(osf(catalog[name], 0.0, 2.0, x, 0.1, 0.05, 0.1)) <= 1e-13, name
+
+
+def test_overshoot_of_w_start_at_a(catalog):
+    got = osf(catalog["cramer_lundberg"], 0.5, 2.5, 0.5, 0.1, 0.05, 0.1)
+    assert got == pytest.approx(0.15866666654909456, rel=1e-13)
+    got = osf(catalog["tempered_stable"], 0.5, 2.5, 0.5, 0.1, 0.05, 0.1)
+    assert got == pytest.approx(2.816799297522082, abs=5e-8)
+
+
+@pytest.mark.parametrize("name, point, expected", [
+    ("brownian", (0.5, 2.5, 1.5, 0.1, 0.05, 0.1), 0.36157985040145446),
+    ("cramer_lundberg", (0.5, 2.5, 1.5, 0.1, 0.05, 0.1), 0.06825191033982758),
+    ("jump_diffusion", (0.5, 2.5, 1.5, 0.1, 0.05, 0.1), 0.8586543649061875),
+    ("brownian", (0.3, 1.0, 0.9, 0.2, 0.0, 0.3), 0.07792426068982938),
+    ("cramer_lundberg", (0.3, 1.0, 0.9, 0.2, 0.0, 0.3), 0.008695837824354236),
+    ("jump_diffusion", (0.3, 1.0, 0.9, 0.2, 0.0, 0.3), 0.17860877398938513),
+])
+def test_overshoot_of_w_closed_forms_keep_their_values(catalog, name, point, expected):
+    assert osf(catalog[name], *point) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["jump_diffusion", "tempered_stable"])
+def test_overshoot_of_w_makes_no_scalar_quad_call(catalog, monkeypatch, name):
+    model = catalog[name]
+    sf_x, sf_y = osf_scale_functions(model, 0.1, 0.05, 0.1, 2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar QUADPACK call")
+
+    monkeypatch.setattr(quadrature.integrate, "quad", refuse)
+    value = overshoot_of_scale_function(model, 0.1, 0.05, 0.1, ExitProblem(0.0, 2.0, 0.05, 1.0),
+                                        sf_x=sf_x, sf_y=sf_y)
+    assert math.isfinite(value)
+
+
+def test_overshoot_of_w_rejects_mismatched_scale_functions(catalog):
+    model, other = catalog["jump_diffusion"], catalog["brownian"]
+    prob = ExitProblem(0.0, 2.0, 0.05, 1.0)
+    sf_x, sf_y = osf_scale_functions(model, 0.1, 0.05, 0.1, 2.0)
+    wrong = {
+        "sf_x at the killing rate": dict(sf_x=ScaleFunction(model, 0.05, x_max=3.0), sf_y=sf_y),
+        "sf_x of another model": dict(sf_x=ScaleFunction(other, 0.1, x_max=3.0), sf_y=sf_y),
+        "sf_y at the inner rate": dict(sf_x=sf_x,
+                                       sf_y=ScaleFunction(model.shifted(0.1), 0.1, x_max=3.0)),
+        "sf_y of the unshifted model": dict(sf_x=sf_x, sf_y=ScaleFunction(model, 0.05, x_max=3.0)),
+    }
+    for label, kwargs in wrong.items():
+        with pytest.raises(ModelError):
+            overshoot_of_scale_function(model, 0.1, 0.05, 0.1, prob, **kwargs)
+            pytest.fail(label)
+    assert math.isfinite(overshoot_of_scale_function(model, 0.1, 0.05, 0.1, prob,
+                                                     sf_x=sf_x, sf_y=sf_y))
+    for delta, p_kill, q_inner in [(math.nan, 0.05, 0.1), (math.inf, 0.05, 0.1),
+                                   (0.1, 0.05, math.nan), (0.1, 0.05, math.inf)]:
+        with pytest.raises(ModelError):
+            overshoot_of_scale_function(model, delta, p_kill, q_inner, prob)
+    with pytest.raises(ModelError):
+        overshoot_of_scale_function(model, 0.1, math.nan, 0.1, ExitProblem(0.0, 2.0, 0.05, 1.0))

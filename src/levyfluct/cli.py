@@ -119,21 +119,33 @@ def _build_penalty(spec, prob, scale):
     return extend_penalty(f, prob.a, prob.b, recipe)
 
 
+def _mc_number(block, key, default, integral=False):
+    """``mc.<key>`` as a float, or an int when ``integral``; anything else is a spec error."""
+    val = block.get(key, default)
+    if val is None and default is None:
+        return None
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (integral and not float(val).is_integer())):
+        kind = "an integer" if integral else "a number"
+        raise SpecError(f"must be {kind}, got {val!r}", field=f"mc.{key}")
+    return int(val) if integral else float(val)
+
+
 def _mc_settings(spec, args):
     block = dict(spec.get("mc", {}))
     if args.paths is not None:
         block["paths"] = args.paths
     if args.seed is not None:
         block["seed"] = args.seed
-    paths = int(block.get("paths", 20_000))
+    paths = _mc_number(block, "paths", 20_000, integral=True)
     if paths < 2:
         # one path has no standard error, and none has no estimate
         raise SpecError(f"need at least 2 paths, got {paths}", field="mc.paths")
     scheme = mc.SimScheme(
-        dt=float(block.get("dt", 1e-3)),
-        eps=float(block.get("eps", 1e-3)),
-        seed=int(block.get("seed", 0)),
-        horizon=block.get("horizon"),
+        dt=_mc_number(block, "dt", 1e-3),
+        eps=_mc_number(block, "eps", 1e-3),
+        seed=_mc_number(block, "seed", 0, integral=True),
+        horizon=_mc_number(block, "horizon", None),
         small_jump_mode=block.get("small_jump_mode", "auto"),
     )
     return scheme, paths
@@ -193,12 +205,9 @@ def cmd_scale(args):
     if np.any(xs <= 0):
         raise SpecError("grid points must be positive", field="grid")
     sf = ScaleFunction(model, q, x_max=float(xs[-1]) + 1.0)
-    rows = [["x", "W", "W_prime", "Z"]]
-    payload = []
-    for x in xs:
-        w, wp, z = float(sf.w(x)), float(sf.w_prime(x)), float(sf.z(x))
-        rows.append([repr(float(x)), repr(w), repr(wp), repr(z)])
-        payload.append({"x": float(x), "W": w, "W_prime": wp, "Z": z})
+    columns = {"x": xs, "W": sf.w(xs), "W_prime": sf.w_prime(xs), "Z": sf.z(xs)}
+    payload = [dict(zip(columns, map(float, vals))) for vals in zip(*columns.values())]
+    rows = [list(columns)] + [[repr(v) for v in point.values()] for point in payload]
     print(f"method={sf.method} phi={sf.phi:.12g} "
           f"tolerance_estimate={sf.tolerance_estimate:.3g}", file=sys.stderr)
     _emit(payload, rows, args)
@@ -229,13 +238,12 @@ def cmd_compare(args):
 
     penalties = {kind: extend_penalty(f, prob.a, prob.b, kind)
                  for kind in ("zero", "constant_one", "affine_at_a")}
-    routes = {f"general[{kind}]": idn.overshoot_functional_general(p, sf, prob).value
-              for kind, p in penalties.items()}
-    penalty = penalties["constant_one"]
-    membership = check_membership(penalty, model)
-    if membership.simple_form_admissible:
+    reports = {kind: check_membership(p, model) for kind, p in penalties.items()}
+    routes = {f"general[{kind}]": idn.overshoot_functional_general(
+        p, sf, prob, membership=reports[kind]).value for kind, p in penalties.items()}
+    if reports["constant_one"].simple_form_admissible:
         routes["simple"] = idn.overshoot_functional_simple(
-            penalty, sf, prob, membership=membership).value
+            penalties["constant_one"], sf, prob, membership=reports["constant_one"]).value
     routes["zero_extension"] = idn.overshoot_zero_extension(f, sf, prob).value
     scheme, paths = _mc_settings(spec, args)
     est = mc.estimate_overshoot_functional(model, f, prob.a, prob.b, prob.q,

@@ -376,7 +376,7 @@ def apply_generator(penalty, model, q, x):
         # compensated difference there would lose eps * |h| * Pi(x - a, inf))
         smooth_at_a = penalty.continues_f and a not in penalty.kinks
         lo = np.minimum(SMALL_CUT, cand[:, int(smooth_at_a):].min(axis=1, initial=np.inf))
-        total = 0.5 * penalty.f_tilde_second(x) * meas.squared_mass_below(lo)
+        total = 0.5 * penalty.f_tilde_second(x) * meas.mass2_below(lo)
     near_pt, near_lo, near_hi = _panels(lo, np.ones(n), cand)
     far_max = np.max(np.where(np.isfinite(cand) & (cand > 1.0), cand, 1.0), axis=1)
     hi_cut = np.maximum(np.maximum(2.0, far_max + 1.0), x - a + 1.0)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
 
 from .errors import ModelError, RootFindingError, SpecError
-from .quadrature import compensated_exp, quad
+from .quadrature import compensated_exp, exp_moments, quad
 
 FINITE_ACTIVITY = "finite_activity"
 INFINITE_ACTIVITY = "infinite_activity"
@@ -38,13 +38,15 @@ ADMISSIBILITY_BOUND = 1e12
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Jump measure given by a density plus derived analytic anchors.
+    """Jump measure given by a density plus its integrals in closed form.
 
-    ``tail(theta)`` is the upper tail mass Pi(theta, inf); it is supplied
-    analytically by the family constructors and computed by quadrature with
-    cached anchors for tabulated densities.  ``exponent_jump_part`` is the
-    jump contribution to psi in closed form, valid for the complex arguments
-    of the Laplace inversion contour; every family supplies one.
+    Every family supplies: the upper tail mass ``tail(theta)`` =
+    Pi(theta, inf); ``exponent_jump_part``, the jump contribution to psi,
+    valid for the complex arguments of the Laplace inversion contour; its
+    derivative ``exponent_jump_deriv`` for real arguments;
+    ``mass_between(lo, hi)`` = int_lo^hi theta Pi(dtheta) and
+    ``mass2_below(eps)`` = int_0^eps theta^2 Pi(dtheta).  ``tail``,
+    ``exponent_jump_part`` and ``mass2_below`` take arrays.
     """
 
     density: Callable[[float], float]
@@ -55,9 +57,9 @@ class LevyMeasureSpec:
     mean_small: float                    # int_0^1 theta Pi(dtheta); inf if non-integrable
     mean_above_one: float                # int_1^inf theta Pi(dtheta)
     exponent_jump_part: Callable
-    exponent_jump_deriv: Optional[Callable] = None
-    mass_between: Optional[Callable] = None   # (lo, hi) -> int theta Pi(dtheta)
-    mass2_below: Optional[Callable] = None    # eps -> int_0^eps theta^2 Pi(dtheta)
+    exponent_jump_deriv: Callable
+    mass_between: Callable               # (lo, hi) -> int_lo^hi theta Pi(dtheta)
+    mass2_below: Callable                # eps -> int_0^eps theta^2 Pi(dtheta)
     family: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -65,8 +67,7 @@ class LevyMeasureSpec:
         if self.total_mass_near_zero + self.tail(1.0) > ADMISSIBILITY_BOUND:
             raise ModelError("int (1 ^ theta^2) Pi(dtheta) exceeds the admissibility bound")
         # tail must be non-increasing and vanish at infinity
-        grid = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
-        vals = np.array([self.tail(t) for t in grid])
+        vals = self.tail(np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]))
         if np.any(np.diff(vals) > 1e-12 * (1.0 + vals[:-1])):
             raise ModelError("tail(theta) is not non-increasing")
         if vals[-1] > max(1e-6, 1e-9 * vals[0]):
@@ -74,25 +75,9 @@ class LevyMeasureSpec:
         if self.activity == FINITE_ACTIVITY and not math.isfinite(self.tail(0.0)):
             raise ModelError("finite activity declared but total mass is infinite")
 
-    def small_mass_between(self, lo, hi):
-        """int_lo^hi theta Pi(dtheta) (finite for lo > 0)."""
-        if self.mass_between is not None:
-            return self.mass_between(lo, hi)
-        if hi <= lo:
-            return 0.0
-        val, _ = quad(lambda t: t * self.density(t), lo, hi)
-        return val
-
-    def squared_mass_below(self, eps):
-        """int_0^eps theta^2 Pi(dtheta)."""
-        if self.mass2_below is not None:
-            return self.mass2_below(eps)
-        return np.vectorize(
-            lambda e: quad(lambda t: t * t * float(self.density(t)), 0.0, e)[0])(eps)
-
 
 def _zero_tail(theta):
-    return 0.0
+    return np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
 
 
 def no_jumps():
@@ -247,33 +232,27 @@ def tempered_stable_jumps(c, alpha, rho):
     )
 
 
-def _exp_segment_integral(d, u, v):
-    """int_u^v e^{d t} dt, stable for small |d|; d may be a complex ndarray."""
+def _exp_segment_integral(d, span):
+    """int_0^span e^{d s} ds, stable for small |d|; d may be a complex ndarray."""
     d = np.asarray(d)
-    span = v - u
     out = np.empty(d.shape, dtype=complex if np.iscomplexobj(d) else float)
     small = np.abs(d) * span < 1e-8
     out[small] = span * (1.0 + 0.5 * d[small] * span)
     db = d[~small]
-    out[~small] = np.exp(db * u) * np.expm1(db * span) / db
+    out[~small] = np.expm1(db * span) / db
     return out
-
-
-def _t_exp_segment_integral(b, s, t):
-    """int_s^t x e^{b x} dx for real scalar b."""
-    if abs(b) * (t - s) < 1e-8:
-        return 0.5 * (t * t - s * s) + b * (t ** 3 - s ** 3) / 3.0
-    return ((t * b - 1.0) * math.exp(b * t) - (s * b - 1.0) * math.exp(b * s)) / b ** 2
 
 
 def table_jumps(theta, values):
     """Density given by sample pairs, log-linearly interpolated, zero outside.
 
     The support must stay away from zero, so tabulated measures always have
-    finite activity; tails are integrated once per segment and cached.  The
-    interpolation makes the density piecewise exponential, so the jump part
-    of psi has a closed form per segment (valid for complex arguments, which
-    the Laplace-inversion contour needs).
+    finite activity.  The interpolation makes the density piecewise
+    exponential, pi(t) = pi_i e^{b_i (t - theta_i)} on segment i, so every
+    integral of t^k e^{-lam t} pi(t) over part of a segment is pi(lo)
+    e^{-lam lo} times a sum of the moments ``exp_moments(b_i - lam, hi - lo)``.
+    The jump part of psi keeps one complex exponential term per segment, for
+    the Laplace-inversion contour.
     """
     theta = np.asarray(theta, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -284,66 +263,64 @@ def table_jumps(theta, values):
     if np.any(values < 0) or np.all(values == 0):
         raise ModelError("density samples must be nonnegative and not all zero")
     logv = np.log(np.maximum(values, 1e-300))
-    slope = np.diff(logv) / np.diff(theta)
-    amp = np.exp(logv[:-1] - slope * theta[:-1])
+    left, right = theta[:-1], theta[1:]
+    slope = np.diff(logv) / (right - left)
 
-    def jump_part(lam):
-        lam = np.asarray(lam)
-        total = np.zeros(lam.shape, dtype=complex if np.iscomplexobj(lam) else float)
-        for i in range(theta.size - 1):
-            u, v, b, c = theta[i], theta[i + 1], slope[i], amp[i]
-            # int e^{-lam t} pi(t) dt - int pi(t) dt + lam int_{t<=1} t pi(t) dt
-            total += c * _exp_segment_integral(b - lam, u, v)
-            total -= c * float(_exp_segment_integral(np.asarray(b), u, v))
-            hi = min(v, 1.0)
-            if hi > u:
-                total += lam * c * _t_exp_segment_integral(b, u, hi)
-        return total.item() if total.ndim == 0 else total
+    def moments(lo, hi, lam=0.0):
+        """int_lo^hi t^k e^{-lam t} pi(t) dt for k = 0, 1, 2; lo, hi and lam broadcast."""
+        lo = np.clip(np.asarray(lo, dtype=float)[..., None], left, right)
+        hi = np.clip(np.asarray(hi, dtype=float)[..., None], lo, right)
+        lam = np.asarray(lam, dtype=float)[..., None]
+        i0, i1, i2, _ = exp_moments(slope - lam, hi - lo)
+        p = np.exp(logv[:-1] + slope * (lo - left) - lam * lo)
+        return (np.sum(p * i0, axis=-1), np.sum(p * (lo * i0 + i1), axis=-1),
+                np.sum(p * (lo * lo * i0 + 2.0 * lo * i1 + i2), axis=-1))
+
+    # tail anchors Pi(theta_i, inf), summed from the top
+    seg = np.exp(logv[:-1]) * exp_moments(slope, right - left)[0]
+    anchors = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    total_mass = anchors[0]
+    _, mean_small, m2_one = moments(0.0, 1.0)
+    mean_above = moments(1.0, np.inf)[1]
 
     def density(t):
         t = np.asarray(t, dtype=float)
         out = np.exp(np.interp(t, theta, logv))
         return np.where((t < theta[0]) | (t > theta[-1]), 0.0, out)
 
-    # cached tail anchors at the sample points (integrated from the top)
-    seg = np.zeros(theta.size)
-    for i in range(theta.size - 1):
-        seg[i], _ = quad(lambda t: float(density(t)), theta[i], theta[i + 1],
-                         epsabs=1e-13, epsrel=1e-11)
-    anchors = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])[:theta.size]
-
     def tail(t):
+        # the anchor above t plus the part of t's segment above it
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            if ti <= theta[0]:
-                out[i] = anchors[0]
-            elif ti >= theta[-1]:
-                out[i] = 0.0
-            else:
-                j = np.searchsorted(theta, ti, side="right") - 1
-                part, _ = quad(lambda u: float(density(u)), ti, theta[j + 1],
-                               epsabs=1e-13, epsrel=1e-11)
-                out[i] = part + anchors[j + 1]
-        return out[0] if scalar else out
+        j = np.clip(np.searchsorted(theta, t, side="right") - 1, 0, theta.size - 2)
+        s = np.clip(t, theta[0], theta[-1])
+        out = anchors[j + 1] + np.exp(logv[j] + slope[j] * (s - theta[j])) * exp_moments(
+            slope[j], theta[j + 1] - s)[0]
+        return out.item() if out.ndim == 0 else out
 
-    mean_small, _ = quad(lambda t: t * float(density(t)), 0.0, min(1.0, theta[-1]))
-    mean_above = 0.0
-    if theta[-1] > 1.0:
-        mean_above, _ = quad(lambda t: t * float(density(t)), 1.0, theta[-1])
-    m2_one, _ = quad(lambda t: t * t * float(density(t)), 0.0, min(1.0, theta[-1]))
+    def jump_part(lam):
+        # int e^{-lam t} pi(t) dt - int pi(t) dt + lam int_{t<=1} t pi(t) dt
+        lam = np.asarray(lam)
+        total = np.zeros(lam.shape, dtype=complex if np.iscomplexobj(lam) else float)
+        for lv, u, v, b in zip(logv[:-1], left, right, slope):
+            total += np.exp(lv - lam * u) * _exp_segment_integral(b - lam, v - u)
+        total = total - total_mass + lam * mean_small
+        return total.item() if total.ndim == 0 else total
+
+    def jump_deriv(lam):
+        return mean_small - moments(0.0, np.inf, lam)[1]
 
     return LevyMeasureSpec(
         density=density,
         tail=tail,
         activity=FINITE_ACTIVITY,
         variation_part=INTEGRABLE,
-        total_mass_near_zero=m2_one,
-        mean_small=mean_small,
-        mean_above_one=mean_above,
+        total_mass_near_zero=float(m2_one),
+        mean_small=float(mean_small),
+        mean_above_one=float(mean_above),
         exponent_jump_part=jump_part,
+        exponent_jump_deriv=jump_deriv,
+        mass_between=lambda lo, hi: moments(lo, hi)[1],
+        mass2_below=lambda eps: moments(0.0, eps)[2],
         family="table",
         params={"theta": theta.tolist(), "pi": values.tolist()},
     )
@@ -469,15 +446,7 @@ def laplace_exponent(model, lam, method="auto"):
 
 def laplace_exponent_derivative(model, lam):
     """psi'(lam) = gamma + sigma^2 lam + d/dlam of the jump integral."""
-    base = model.gamma + model.sigma ** 2 * lam
-    jd = model.measure.exponent_jump_deriv
-    if jd is not None:
-        return base + jd(lam)
-    dens = model.measure.density
-    v1, _ = quad(lambda t: t * (1.0 - math.exp(-lam * t)) * float(dens(t)), 0.0, 1.0)
-    v2, _ = quad(lambda t: -t * math.exp(-lam * t) * float(dens(t)) if lam * t < 700 else 0.0,
-                 1.0, np.inf)
-    return base + v1 + v2
+    return model.gamma + model.sigma ** 2 * lam + model.measure.exponent_jump_deriv(lam)
 
 
 def right_inverse_phi(model, q):

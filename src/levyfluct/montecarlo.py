@@ -35,6 +35,7 @@ import numpy as np
 
 from . import models as _models
 from .errors import HypothesisViolationError, ModelError
+from .generator import penalty_function
 
 CAPPED_FLAG_LEVEL = 1e-3
 CELLS = 8192      # variate cells (paths x steps) drawn per block
@@ -174,7 +175,7 @@ class _JumpKit:
             self.eps_eff = max(scheme.eps, lo)
             self.lam = float(measure.tail(self.eps_eff))
             grid = np.geomspace(self.eps_eff, measure.params["theta"][-1], 4097)
-            tails = np.array([float(measure.tail(t)) for t in grid])
+            tails = measure.tail(grid)
             cdf = 1.0 - tails / tails[0]
             cdf[-1] = 1.0
             keep = np.concatenate([[True], np.diff(cdf) > 0])
@@ -183,9 +184,9 @@ class _JumpKit:
         else:
             raise ModelError(f"no jump sampler for measure family {fam!r}")
         # compensator drift for dropped/represented jumps, and matched variance
-        self.drift_comp = measure.small_mass_between(self.eps_eff, 1.0)
+        self.drift_comp = measure.mass_between(self.eps_eff, 1.0)
         if self.mode == "gaussian_approx" and self.eps_eff > 0:
-            self.sigma2_small = measure.squared_mass_below(self.eps_eff)
+            self.sigma2_small = measure.mass2_below(self.eps_eff)
         else:
             self.sigma2_small = 0.0
 
@@ -278,8 +279,6 @@ class _Kernel:
 
     def __init__(self, model, a, b, x0, scheme, q=0.0, *, delta=0.0,
                  refract_level=None, reflect=False, n_bins=0):
-        if reflect and x0 > b:
-            raise ModelError("reflected start must satisfy x0 <= barrier")
         self.kit = _JumpKit(model.measure, scheme)
         self.a, self.b, self.x0, self.q = a, b, float(x0), q
         self.dt = scheme.dt
@@ -528,12 +527,7 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
     down = samples.sides == DOWN
     if np.any(down):
         posd = samples.positions[down]
-        try:
-            fv = np.asarray(f(posd), dtype=float)
-            if fv.shape != posd.shape:
-                raise TypeError
-        except Exception:
-            fv = np.array([float(f(p)) for p in posd])
+        fv = np.asarray(penalty_function(f, a, b)(posd), dtype=float)
         bad = np.flatnonzero(~np.isfinite(fv))
         if bad.size:
             raise HypothesisViolationError(

@@ -112,6 +112,37 @@ def compensated_exp(u):
     return out
 
 
+def exp_moments(phi, h):
+    """The moments I_k = int_0^h e^{phi t} t^k dt, k = 0..3, stacked on axis 0.
+
+    ``phi`` and ``h`` broadcast against each other.  Where |phi h| <= 1 the
+    series I_k = h^{k+1} sum_i (phi h)^i / (i! (k+1+i)) is summed to
+    convergence (20 terms, smallest first).  Above that the recursion
+    I_k = (h^k e^{phi h} - k I_{k-1}) / phi is used; it cancels badly for
+    small phi h but loses only a few units in the last place here.
+    """
+    phi, h = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(h, dtype=float))
+    mom = np.empty((4,) + h.shape)
+    small = np.abs(phi * h) <= 1.0
+    hs, hb, pb = h[small], h[~small], phi[~small]
+    u = phi[small] * hs
+    terms = [np.ones(hs.shape)]
+    for i in range(1, 20):
+        terms.append(terms[-1] * u / i)
+    for k in range(4):
+        acc = np.zeros(hs.shape)
+        for i in reversed(range(20)):
+            acc += terms[i] / (k + 1 + i)
+        mom[k, small] = hs ** (k + 1) * acc
+    e = np.exp(pb * hb)
+    prev = np.expm1(pb * hb) / pb
+    mom[0, ~small] = prev
+    for k in range(1, 4):
+        prev = (hb ** k * e - k * prev) / pb
+        mom[k, ~small] = prev
+    return mom
+
+
 # ---------------------------------------------------------------------------
 # batched Gauss-Kronrod
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from scipy.special import binom
 
 from . import models as _models
 from .errors import ModelError, NumericalAccuracyError
-from .quadrature import quad
+# tests import the moment series from here under its old name
+from .quadrature import exp_moments as _exp_moments, quad, quad_rows
 
 _CLOSED_FORM_FAMILIES = ("none", "exponential")
 # Euler summation settings, and the number of nodes in the inversion cache
@@ -71,36 +72,6 @@ def _tilted_inverse(model, q, phi, x):
         return 1.0 / (gamma * lam + 0.5 * sig2 * lam * lam + jp(lam) - q)
 
     return euler_inversion(transform, x, **INVERSION_PARAMS)
-
-
-def _exp_moments(phi, h):
-    """The moments I_k = int_0^h e^{phi t} t^k dt, k = 0..3, stacked on axis 0.
-
-    Where |phi h| <= 1 the series I_k = h^{k+1} sum_i (phi h)^i / (i! (k+1+i))
-    is summed to convergence (20 terms, smallest first).  Above that the
-    recursion I_k = (h^k e^{phi h} - k I_{k-1}) / phi is used; it cancels
-    badly for small phi h but loses only a few units in the last place here.
-    """
-    h = np.asarray(h, dtype=float)
-    mom = np.empty((4,) + h.shape)
-    small = np.abs(phi * h) <= 1.0
-    hs, hb = h[small], h[~small]
-    u = phi * hs
-    terms = [np.ones(hs.shape)]
-    for i in range(1, 20):
-        terms.append(terms[-1] * u / i)
-    for k in range(4):
-        acc = np.zeros(hs.shape)
-        for i in reversed(range(20)):
-            acc += terms[i] / (k + 1 + i)
-        mom[k, small] = hs ** (k + 1) * acc
-    e = np.exp(phi * hb)
-    prev = np.expm1(phi * hb) / phi
-    mom[0, ~small] = prev
-    for k in range(1, 4):
-        prev = (hb ** k * e - k * prev) / phi
-        mom[k, ~small] = prev
-    return mom
 
 
 class ScaleFunction:
@@ -247,9 +218,10 @@ class ScaleFunction:
             j = np.clip(j, 0, self._anti_nodes.size - 2)
             vals[inside] = self._anti_cum[j] + self._piece_integral(
                 j, xp[inside] - self._anti_nodes[j])
-            for i in np.flatnonzero(~inside):
-                tail, _ = quad(self.w, self.x_max, xp[i], epsabs=1e-12, epsrel=1e-11)
-                vals[i] = self._anti_cum[-1] + tail
+            if not inside.all():
+                tail, _ = quad_rows(lambda r, t: self.w(t), self.x_max, xp[~inside],
+                                    epsabs=1e-12, epsrel=1e-11)
+                vals[~inside] = self._anti_cum[-1] + tail
         out[pos] = vals
         return out.item() if x.ndim == 0 else out
 

@@ -350,3 +350,43 @@ def test_python_m_levyfluct_runs_the_cli():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)) == 3
+
+
+# mc settings of the wrong type are spec errors that name their field
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("paths", 200.5), ("dt", "0.004"),
+                                          ("eps", "small"), ("horizon", "5")])
+def test_mc_setting_of_wrong_type_is_spec_error(tmp_path, capsys, field, value):
+    settings = {"paths": 200, "seed": 1, "horizon": 5.0}
+    settings[field] = value
+    spec = write_spec(tmp_path, "mc.json", dict(NONFINITE_BASE, mc=settings))
+    assert run(["mc", "--spec", spec]) == 2
+    assert f"mc.{field}" in capsys.readouterr().err
+
+
+def test_mc_integral_float_seed_runs_as_integer(tmp_path):
+    outs = []
+    for seed in (3, 3.0):
+        spec = write_spec(tmp_path, "mc.json", dict(
+            NONFINITE_BASE, mc={"paths": 200, "seed": seed, "horizon": 5.0}))
+        out = tmp_path / "out.json"
+        assert run(["mc", "--spec", spec, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+
+def test_compare_checks_each_penalty_once(tmp_path, monkeypatch):
+    import levyfluct.cli as cli
+    import levyfluct.identities as identities
+
+    calls = []
+
+    def counting(penalty, model, _check=cli.check_membership):
+        calls.append(penalty.recipe)
+        return _check(penalty, model)
+
+    monkeypatch.setattr(cli, "check_membership", counting)
+    monkeypatch.setattr(identities, "check_membership", counting)
+    spec = write_spec(tmp_path, "cmp.json", dict(NONFINITE_BASE, mc={"paths": 200, "seed": 2}))
+    assert run(["compare", "--spec", spec, "--out", str(tmp_path / "out.json")]) == 0
+    assert sorted(calls) == ["affine_at_a", "constant_one", "zero"]

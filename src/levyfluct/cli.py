@@ -311,21 +311,23 @@ def build_parser():
         prog="levyfluct",
         description="Overshoot functionals for spectrally negative Levy processes")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads: the simulation overrides
+    # where _mc_settings runs, the pairwise gate in compare
+    mc_flags = {"--seed": int, "--paths": int}
     commands = {
-        "scale": cmd_scale,
-        "eval": cmd_eval,
-        "compare": cmd_compare,
-        "mc": cmd_mc,
-        "eval-reflected": cmd_eval_reflected,
-        "eval-refracted": cmd_eval_refracted,
+        "scale": (cmd_scale, {}),
+        "eval": (cmd_eval, {}),
+        "compare": (cmd_compare, {**mc_flags, "--tol": float}),
+        "mc": (cmd_mc, mc_flags),
+        "eval-reflected": (cmd_eval_reflected, mc_flags),
+        "eval-refracted": (cmd_eval_refracted, mc_flags),
     }
-    for name, fn in commands.items():
+    for name, (fn, flags) in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="problem spec JSON ('-' = stdin)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for flag, kind in flags.items():
+            p.add_argument(flag, type=kind, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     return parser

@@ -21,8 +21,7 @@ from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      NumericalAccuracyError)
 from .generator import (TAIL_FACTOR, check_membership, generator_closure,
                         penalty_function, require_simple_form)
-from .quadrature import (LOG, PANEL_TOLERANCE, PLAIN, SQRT, TAIL, breaks, check_rows,
-                         quad_rows)
+from .quadrature import LOG, PLAIN, SQRT, TAIL, breaks, check_rows, quad_rows
 from .scale import ScaleFunction
 
 # a resolvent density below -RESOLVENT_FLOOR is a numerical failure, not roundoff
@@ -97,7 +96,7 @@ def creeping_transform(sf, prob):
     return float(0.5 * sigma ** 2 * (sf.w_prime(x - a) - ratio * sf.w_prime(b - a)))
 
 
-def _resolvent_integral(sf, prob, G, kinks=(), *, panel_tol=PANEL_TOLERANCE):
+def _resolvent_integral(sf, prob, G, kinks=()):
     """int_a^b G(z) * [W(x-a)W(b-z)/W(b-a) - W(x-z)] dz, with G taking arrays.
 
     Panels break at z = x (kink of W(x-z)) and at declared kinks; the panel
@@ -117,8 +116,7 @@ def _resolvent_integral(sf, prob, G, kinks=(), *, panel_tol=PANEL_TOLERANCE):
     vals, errs = quad_rows(integrand, np.concatenate([left[0], right[0]]),
                            np.concatenate([left[1], right[1]]),
                            rows=np.repeat([0, 1], sizes),
-                           maps=np.repeat([SQRT, SQRT if x == a else PLAIN], sizes),
-                           panel_tol=panel_tol)
+                           maps=np.repeat([SQRT, SQRT if x == a else PLAIN], sizes))
     return float(vals.sum()), float(errs.sum())
 
 
@@ -127,10 +125,10 @@ def _scale_weighted_integral(sf, G, a, hi, kinks=()):
 
     Split around a pivot value of G: the constant part integrates exactly
     through the W antiderivative (so constant-generator cases reproduce the
-    Z identity to machine precision; adaptive quadrature alone resolves the
-    many-piece interpolant only to a few 1e-9), and only the residual goes
-    through adaptive quadrature, with the square-root graded substitution at
-    z = a, where the generator may blow up.
+    Z identity to machine precision, which adaptive quadrature meets only to
+    its tolerance), and only the residual goes through adaptive quadrature,
+    with the square-root graded substitution at z = a, where the generator
+    may blow up.
     """
     span = hi - a
     g_ref = float(G(a + 0.5 * span))
@@ -301,9 +299,7 @@ def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
         return out - delta * sf_x.w_prime(z) if delta else out
 
     ratio = float(sf_y.w(x - a) / sf_y.w(b - a))
-    # panel_tol loosened: at a = 0 the W' blow-up leaves a mild residual
-    # in the error estimate even after the graded substitution
-    integral, _ = _resolvent_integral(sf_y, prob, K, panel_tol=2e-5)
+    integral, _ = _resolvent_integral(sf_y, prob, K)
     return float(sf_x.w(x)) - ratio * float(sf_x.w(b)) + integral
 
 

@@ -44,9 +44,10 @@ class LevyMeasureSpec:
     Pi(theta, inf); ``exponent_jump_part``, the jump contribution to psi,
     valid for the complex arguments of the Laplace inversion contour; its
     derivative ``exponent_jump_deriv`` for real arguments;
-    ``mass_between(lo, hi)`` = int_lo^hi theta Pi(dtheta) and
-    ``mass2_below(eps)`` = int_0^eps theta^2 Pi(dtheta).  ``tail``,
-    ``exponent_jump_part`` and ``mass2_below`` take arrays.
+    ``mass_between(lo, hi)`` = int_lo^hi theta Pi(dtheta), zero where
+    hi <= lo, and ``mass2_below(eps)`` = int_0^eps theta^2 Pi(dtheta).
+    ``tail``, ``exponent_jump_part``, ``mass_between`` and ``mass2_below``
+    take arrays.
     """
 
     density: Callable[[float], float]
@@ -66,8 +67,9 @@ class LevyMeasureSpec:
     def __post_init__(self):
         if self.total_mass_near_zero + self.tail(1.0) > ADMISSIBILITY_BOUND:
             raise ModelError("int (1 ^ theta^2) Pi(dtheta) exceeds the admissibility bound")
-        # tail must be non-increasing and vanish at infinity
-        vals = self.tail(np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]))
+        # tail must be non-increasing and vanish at infinity; the grid runs
+        # far past 100, where the support of a table may still go on
+        vals = self.tail(np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1e4, 1e6]))
         if np.any(np.diff(vals) > 1e-12 * (1.0 + vals[:-1])):
             raise ModelError("tail(theta) is not non-increasing")
         if vals[-1] > max(1e-6, 1e-9 * vals[0]):
@@ -121,6 +123,7 @@ def exponential_jumps(intensity, decay):
         return -eta * rho / (rho + lam) ** 2 + mean_small
 
     def mass_between(lo, hi):
+        hi = np.maximum(hi, lo)
         return (eta / rho) * (
             np.exp(-rho * lo) * (1.0 + rho * lo) - np.exp(-rho * hi) * (1.0 + rho * hi))
 
@@ -206,11 +209,10 @@ def tempered_stable_jumps(c, alpha, rho):
         return c * g_neg_alpha * alpha * (base ** (alpha - 1.0) - rho ** (alpha - 1.0)) - kappa1
 
     def mass_between(lo, hi):
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
+        lo = np.maximum(lo, 1e-300)
+        hi = np.maximum(hi, lo)
         return c * rho ** (alpha - 1.0) * (
-            _upper_gamma(1.0 - alpha, rho * max(lo, 1e-300)) - _upper_gamma(1.0 - alpha, rho * hi))
+            _upper_gamma(1.0 - alpha, rho * lo) - _upper_gamma(1.0 - alpha, rho * hi))
 
     def mass2_below(eps):
         return c * rho ** (alpha - 2.0) * special.gammainc(2.0 - alpha, rho * eps) * special.gamma(2.0 - alpha)

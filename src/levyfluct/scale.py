@@ -12,15 +12,17 @@ Two evaluation methods:
 * ``laplace_inversion`` - Euler-summation (Bromwich contour) inversion of the
   exponentially tilted transform 1/(psi(s + Phi(q)) - q).  The tilted scale
   function is bounded and monotone, which keeps the inversion stable; values
-  are cached on a geometric grid with shape-preserving interpolation.
+  are cached on a geometric grid and interpolated by a not-a-knot cubic
+  spline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.special import binom
 
 from . import models as _models
@@ -32,32 +34,31 @@ _CLOSED_FORM_FAMILIES = ("none", "exponential")
 # Euler summation settings, and the number of nodes in the inversion cache
 INVERSION_PARAMS = dict(a_param=28.0, n_terms=60, m_euler=35)
 GRID_NODES = 2048
+# Euler's weights binom(m, k) / 2^m; scipy's binomials sum to exactly 2^m
+_EULER_WEIGHTS = binom(INVERSION_PARAMS["m_euler"], np.arange(INVERSION_PARAMS["m_euler"] + 1))
+_EULER_WEIGHTS /= 2.0 ** INVERSION_PARAMS["m_euler"]
 
 
-def _euler_weights(m):
-    w = binom(m, np.arange(m + 1))
-    return w / w.sum()
-
-
-def euler_inversion(transform, x, a_param=28.0, n_terms=60, m_euler=35):
+def euler_inversion(transform, x):
     """Invert a Laplace transform at x > 0 by Euler-accelerated summation.
 
     ``transform`` must accept a complex ndarray.  The contour abscissa is
-    a_param/(2x); the aliasing error is O(exp(-a_param)) times the scale of
-    the inverted function, so the target function should be bounded (tilt
-    exponentially growing functions first).
+    a_param/(2x) (``INVERSION_PARAMS``); the aliasing error is
+    O(exp(-a_param)) times the scale of the inverted function, so the target
+    function should be bounded (tilt exponentially growing functions first).
     """
+    a_param, n_terms = INVERSION_PARAMS["a_param"], INVERSION_PARAMS["n_terms"]
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
     if np.any(xs <= 0):
         raise ValueError("inversion points must be positive")
-    k = np.arange(n_terms + m_euler + 1)
+    k = np.arange(n_terms + _EULER_WEIGHTS.size)
     s = (a_param + 2j * np.pi * k[None, :]) / (2.0 * xs[:, None])
     vals = np.real(transform(s)) * np.where(k % 2 == 0, 1.0, -1.0)[None, :]
     vals[:, 0] *= 0.5
     partial = np.cumsum(vals, axis=1)
-    est = partial[:, n_terms:] @ _euler_weights(m_euler)
+    est = partial[:, n_terms:] @ _EULER_WEIGHTS
     out = est * math.exp(a_param / 2.0) / xs
     return out.item() if scalar else out
 
@@ -71,14 +72,21 @@ def _tilted_inverse(model, q, phi, x):
         lam = s + phi
         return 1.0 / (gamma * lam + 0.5 * sig2 * lam * lam + jp(lam) - q)
 
-    return euler_inversion(transform, x, **INVERSION_PARAMS)
+    return euler_inversion(transform, x)
+
+
+def _direct_w(model, q, phi, x):
+    """W^(q) at the points x > 0 (a float array) by direct inversion."""
+    return np.exp(phi * x) * _tilted_inverse(model, q, phi, x)
 
 
 class ScaleFunction:
     """Evaluator bundle for W^(q), its derivative and Z^(q) for one (model, q).
 
     Immutable after construction (the inversion cache is filled eagerly), so
-    instances can be shared across threads.
+    instances can be shared across threads.  The method is settled here:
+    ``_w_kernel``, ``_exact_kernel`` and ``_anti_kernel`` evaluate W, W
+    without the cache, and int_0^x W at points x > 0.
     """
 
     def __init__(self, model, q, method="auto", x_max=10.0):
@@ -93,41 +101,37 @@ class ScaleFunction:
         self.phi = _models.right_inverse_phi(model, q)
         self.x_max = float(x_max)
         self.inversion_params = dict(INVERSION_PARAMS, grid_nodes=GRID_NODES)
-
-        variation = _models.path_variation(model)
-        if variation == "bounded":
-            self.w0 = 1.0 / model.natural_drift
-        else:
-            self.w0 = 0.0
+        bounded = _models.path_variation(model) == "bounded"
+        self.w0 = 1.0 / model.natural_drift if bounded else 0.0
 
         if self.method == "closed_form":
             self._build_partial_fractions()
             self.tolerance_estimate = 1e-13
+            self._w_kernel = self._exact_kernel = self._pf_sum
+            self._anti_kernel = self._pf_antiderivative
         elif self.method == "laplace_inversion":
+            self._exact_kernel = functools.partial(_direct_w, model, self.q, self.phi)
             self._build_inversion_cache()
+            self._w_kernel = self._cached_w
+            self._anti_kernel = self._cached_antiderivative
         else:
             raise ModelError(f"unknown scale-function method {method!r}")
 
     # -- closed form ---------------------------------------------------------
 
     def _build_partial_fractions(self):
+        # 1/(psi - q) = den/num; np.roots drops num's leading zero when sigma = 0
         model, q = self.model, self.q
         meas = model.measure
+        s2 = 0.5 * model.sigma ** 2
         if meas.family == "none":
-            if model.sigma > 0:
-                num = np.array([0.5 * model.sigma ** 2, model.gamma, -q])
-            else:
-                num = np.array([model.gamma, -q])
+            num = np.array([s2, model.gamma, -q])
             den = np.array([1.0])
         elif meas.family == "exponential":
             eta = meas.params["intensity"]
             rho = meas.params["decay"]
             c = model.gamma + meas.mean_small
-            if model.sigma > 0:
-                s2 = 0.5 * model.sigma ** 2
-                num = np.array([s2, c + s2 * rho, c * rho - eta - q, -q * rho])
-            else:
-                num = np.array([c, c * rho - eta - q, -q * rho])
+            num = np.array([s2, c + s2 * rho, c * rho - eta - q, -q * rho])
             den = np.array([1.0, rho])
         else:
             raise ModelError(f"no closed form for measure family {meas.family!r}")
@@ -150,33 +154,49 @@ class ScaleFunction:
         expo = np.exp(np.multiply.outer(x, self._roots))
         return np.real(expo @ (self._coeffs * self._roots ** power))
 
-    # -- Laplace inversion ---------------------------------------------------
+    def _pf_antiderivative(self, x):
+        roots, coeffs = self._roots, self._coeffs
+        nonzero = np.abs(roots) > 1e-14
+        terms = np.where(nonzero,
+                         coeffs * (np.exp(np.multiply.outer(x, roots)) - 1.0)
+                         / np.where(nonzero, roots, 1.0),
+                         coeffs * x[:, None])
+        return np.real(np.sum(terms, axis=1))
 
-    def _invert_tilted(self, x):
-        return _tilted_inverse(self.model, self.q, self.phi, x)
+    # -- Laplace inversion ---------------------------------------------------
 
     def _build_inversion_cache(self):
         x_lo = self.x_max * 1e-6
         nodes = np.geomspace(x_lo, self.x_max, GRID_NODES)
-        g = self._invert_tilted(nodes)
+        g = _tilted_inverse(self.model, self.q, self.phi, nodes)
         if np.any(~np.isfinite(g)):
             raise NumericalAccuracyError("Laplace inversion returned non-finite values")
         # W must be positive and increasing; the tilted function must stay positive
         g = np.maximum(g, 0.0)
         xs = np.concatenate([[0.0], nodes])
         gs = np.concatenate([[self.w0], g])
-        self._interp = PchipInterpolator(xs, gs, extrapolate=False)
+        self._interp = CubicSpline(xs, gs, extrapolate=False)
         self._build_exact_antiderivative(xs)
         # interpolation + inversion error probe at off-grid points, restricted
         # to the value-significant region (the deep small-x tail has absolute
         # errors far below anything the identities can feel)
         probe = np.sqrt(nodes[:-1:37] * nodes[1::37])
-        direct = self._invert_tilted(probe)
+        direct = _tilted_inverse(self.model, self.q, self.phi, probe)
         scale = float(np.max(np.abs(g)))
         keep = np.abs(direct) > 0.01 * scale
         rel = (np.abs(self._interp(probe[keep]) - direct[keep])
                / np.abs(direct[keep]))
         self.tolerance_estimate = float(np.max(rel)) + 1e-10
+
+    def _cached_w(self, x):
+        """W at x > 0 from the cache, inverted directly past x_max."""
+        vals = np.empty(x.shape)
+        inside = x <= self.x_max
+        if np.any(inside):
+            vals[inside] = np.exp(self.phi * x[inside]) * self._interp(x[inside])
+        if not inside.all():
+            vals[~inside] = self._exact_kernel(x[~inside])
+        return vals
 
     def _piece_integral(self, j, h):
         """int_0^h W(x_j + t) dt on cache piece j, exact for e^{phi u} times its cubic."""
@@ -186,120 +206,89 @@ class ScaleFunction:
             c[0] * mom[3] + c[1] * mom[2] + c[2] * mom[1] + c[3] * mom[0])
 
     def _build_exact_antiderivative(self, xs):
-        """Exact integrals of W = e^{phi u} * interpolant over the cache pieces.
+        """Exact integrals of W = e^{phi u} * spline over the cache pieces.
 
-        Adaptive quadrature of the many-piece interpolant is only good to a
-        few 1e-9 (its error estimator misses the knot kinks), so integrals of
-        W are assembled exactly piece by piece instead.
+        Assembled piece by piece in closed form, integrals of W are exact to
+        rounding, so the Z identity holds to machine precision (adaptive
+        quadrature would meet it only to its tolerance), and one cumulative
+        sum serves every x.
         """
         self._anti_nodes = xs
         piece = self._piece_integral(np.arange(xs.size - 1), np.diff(xs))
         self._anti_cum = np.concatenate([[0.0], np.cumsum(piece)])
 
-    def w_antiderivative(self, x):
-        """int_0^x W(u) du; exact for the cached interpolant / closed form."""
-        x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x)
-        out = np.zeros(xs.shape)
-        pos = xs > 0.0
-        xp = xs[pos]
-        if self.method == "closed_form":
-            roots, coeffs = self._roots, self._coeffs
-            nonzero = np.abs(roots) > 1e-14
-            terms = np.where(nonzero,
-                             coeffs * (np.exp(np.multiply.outer(xp, roots)) - 1.0)
-                             / np.where(nonzero, roots, 1.0),
-                             coeffs * xp[:, None])
-            vals = np.real(np.sum(terms, axis=1))
-        else:
-            vals = np.empty(xp.shape)
-            inside = xp <= self.x_max
-            j = np.searchsorted(self._anti_nodes, xp[inside], side="right") - 1
-            j = np.clip(j, 0, self._anti_nodes.size - 2)
-            vals[inside] = self._anti_cum[j] + self._piece_integral(
-                j, xp[inside] - self._anti_nodes[j])
-            if not inside.all():
-                tail, _ = quad_rows(lambda r, t: self.w(t), self.x_max, xp[~inside],
-                                    epsabs=1e-12, epsrel=1e-11)
-                vals[~inside] = self._anti_cum[-1] + tail
-        out[pos] = vals
-        return out.item() if x.ndim == 0 else out
+    def _cached_antiderivative(self, x):
+        vals = np.empty(x.shape)
+        inside = x <= self.x_max
+        j = np.searchsorted(self._anti_nodes, x[inside], side="right") - 1
+        j = np.clip(j, 0, self._anti_nodes.size - 2)
+        vals[inside] = self._anti_cum[j] + self._piece_integral(j, x[inside] - self._anti_nodes[j])
+        if not inside.all():
+            tail, _ = quad_rows(lambda r, t: self.w(t), self.x_max, x[~inside],
+                                epsabs=1e-12, epsrel=1e-11)
+            vals[~inside] = self._anti_cum[-1] + tail
+        return vals
 
     # -- public evaluators ---------------------------------------------------
 
-    def w(self, x):
-        """W^(q)(x); zero for x < 0, W^(q)(0+) at x = 0."""
+    @staticmethod
+    def _on_half_line(x, kernel, at_zero):
+        """``kernel`` at the points x > 0, ``at_zero`` at 0 and zero below."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
         xs = np.atleast_1d(x)
         out = np.zeros(xs.shape)
-        out[xs == 0.0] = self.w0
+        out[xs == 0.0] = at_zero
         pos = xs > 0
         if np.any(pos):
-            xp = xs[pos]
-            if self.method == "closed_form":
-                out[pos] = self._pf_sum(xp)
-            else:
-                inside = xp <= self.x_max
-                vals = np.empty(xp.shape)
-                if np.any(inside):
-                    vals[inside] = np.exp(self.phi * xp[inside]) * self._interp(xp[inside])
-                if np.any(~inside):
-                    xo = xp[~inside]
-                    vals[~inside] = np.exp(self.phi * xo) * self._invert_tilted(xo)
-                out[pos] = vals
-        return out.item() if scalar else out
+            out[pos] = kernel(xs[pos])
+        return out.item() if x.ndim == 0 else out
+
+    def _derivative(self, x, power, step, offsets, combine):
+        """d^power W / dx^power at x > 0, exact for closed forms.
+
+        The inversion method returns ``combine(h, *W(x + offsets * h))`` with
+        h = max(step, step * x), shrunk to x/4 where the stencil would cross 0
+        (W has a kink there).
+        """
+        x = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(x)
+        if self.method == "closed_form":
+            out = self._pf_sum(xs, power=power)
+        else:
+            h = np.maximum(step, step * xs)
+            h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
+            out = combine(h, *self.w(xs + np.array(offsets)[:, None] * h))
+        return out.item() if x.ndim == 0 else out
+
+    def w(self, x):
+        """W^(q)(x); zero for x < 0, W^(q)(0+) at x = 0."""
+        return self._on_half_line(x, self._w_kernel, self.w0)
 
     def w_exact(self, x):
         """W^(q)(x) bypassing the interpolation cache (direct inversion)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        if self.method == "closed_form":
-            return self.w(x)
-        out = np.zeros(xs.shape)
-        out[xs == 0.0] = self.w0
-        pos = xs > 0
-        if np.any(pos):
-            out[pos] = np.exp(self.phi * xs[pos]) * self._invert_tilted(xs[pos])
-        return out.item() if scalar else out
+        return self._on_half_line(x, self._exact_kernel, self.w0)
+
+    def w_antiderivative(self, x):
+        """int_0^x W(u) du; exact for the cached spline / closed form."""
+        return self._on_half_line(x, self._anti_kernel, 0.0)
 
     def w_prime(self, x):
         """Left-derivative of W^(q) at x > 0.
 
         Closed forms differentiate exactly; the inversion method uses central
-        differences with one Richardson refinement, falling back to one-sided
-        quotients when the stencil would cross 0 (W has a kink there).
+        differences with one Richardson refinement.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        if np.any(xs <= 0):
+        if np.any(np.asarray(x) <= 0):
             raise ValueError("w_prime requires x > 0")
-        if self.method == "closed_form":
-            out = self._pf_sum(xs, power=1)
-            return out.item() if scalar else out
-        h = np.maximum(1e-6, 1e-6 * xs)
-        h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
-        w_p, w_m, w_ph, w_mh = self.w(xs + np.array([[1.0], [-1.0], [0.5], [-0.5]]) * h)
-        d1 = (w_p - w_m) / (2.0 * h)
-        d2 = (w_ph - w_mh) / h
-        out = (4.0 * d2 - d1) / 3.0
-        return out.item() if scalar else out
+        return self._derivative(
+            x, 1, 1e-6, (1.0, -1.0, 0.5, -0.5),
+            lambda h, w_p, w_m, w_ph, w_mh: (4.0 * ((w_ph - w_mh) / h)
+                                             - (w_p - w_m) / (2.0 * h)) / 3.0)
 
     def w_second(self, x):
         """Second derivative; exact for closed forms, differences otherwise."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        if self.method == "closed_form":
-            out = self._pf_sum(xs, power=2)
-            return out.item() if scalar else out
-        h = np.maximum(1e-5, 1e-5 * xs)
-        h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
-        w_p, w_0, w_m = self.w(xs + np.array([[1.0], [0.0], [-1.0]]) * h)
-        out = (w_p - 2.0 * w_0 + w_m) / (h * h)
-        return out.item() if scalar else out
+        return self._derivative(x, 2, 1e-5, (1.0, 0.0, -1.0),
+                                lambda h, w_p, w_0, w_m: (w_p - 2.0 * w_0 + w_m) / (h * h))
 
     def z(self, x):
         """Z^(q)(x) = 1 + q int_0^x W^(q)(u) du; equals 1 for x <= 0."""
@@ -315,11 +304,10 @@ def invert_laplace(model, q, x):
     Convenience wrapper used for cross-checks; ``ScaleFunction`` with
     method='laplace_inversion' is the cached production path.
     """
-    if np.any(np.asarray(x) <= 0):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise ValueError("x must be positive")
-    phi = _models.right_inverse_phi(model, q)
-    g = _tilted_inverse(model, float(q), phi, x)
-    return np.exp(phi * np.asarray(x, dtype=float)) * g
+    return _direct_w(model, float(q), _models.right_inverse_phi(model, q), x)
 
 
 def transform_roundtrip(sf, lam):

@@ -390,3 +390,14 @@ def test_compare_checks_each_penalty_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "cmp.json", dict(NONFINITE_BASE, mc={"paths": 200, "seed": 2}))
     assert run(["compare", "--spec", spec, "--out", str(tmp_path / "out.json")]) == 0
     assert sorted(calls) == ["affine_at_a", "constant_one", "zero"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("scale", "--seed"), ("eval", "--paths"), ("eval", "--tol"), ("mc", "--tol"),
+    ("eval-reflected", "--tol"), ("eval-refracted", "--tol")])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    spec = write_spec(tmp_path, "spec.json", {})
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--spec", spec, flag, "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

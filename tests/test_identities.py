@@ -386,3 +386,55 @@ def test_overshoot_of_w_rejects_mismatched_scale_functions(catalog):
             overshoot_of_scale_function(model, delta, p_kill, q_inner, prob)
     with pytest.raises(ModelError):
         overshoot_of_scale_function(model, 0.1, math.nan, 0.1, ExitProblem(0.0, 2.0, 0.05, 1.0))
+
+
+from levyfluct.models import tempered_stable_process
+
+OSF_TEMPERED_POINTS = [(0.0, 2.0, 1.0, 0.1, 0.05, 0.1), (0.0, 2.0, 1.9, 0.1, 0.05, 0.1),
+                       (0.5, 2.5, 1.5, 0.1, 0.05, 0.1), (0.3, 1.0, 0.9, 0.2, 0.0, 0.3)]
+
+
+@pytest.mark.parametrize("a, b, x, delta, p_kill, q_inner", OSF_TEMPERED_POINTS)
+def test_overshoot_of_w_within_1e9_of_piecewise_reference(catalog, a, b, x, delta, p_kill,
+                                                          q_inner):
+    model = catalog["tempered_stable"]
+    sf_x, sf_y = osf_scale_functions(model, delta, p_kill, q_inner, b)
+    prob = ExitProblem(a, b, p_kill, x)
+    got = overshoot_of_scale_function(model, delta, p_kill, q_inner, prob, sf_x=sf_x, sf_y=sf_y)
+    assert abs(got - osf_reference(sf_x, sf_y, delta, q_inner, prob)) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [1.0, 1.9])
+def test_overshoot_of_w_at_level_zero_within_1e9(catalog, x):
+    assert abs(osf(catalog["tempered_stable"], 0.0, 2.0, x, 0.1, 0.05, 0.1)) <= 1e-9
+
+
+def osf_sweep_cases(n=120, seed=8):
+    """Seeded (model, a, b, x, delta, p, q): a = 0 in about a quarter of the cases
+    (exact value 0) and x = a in about a fifth; the first is the bounded-variation
+    model at a = x = 0."""
+    rng = np.random.default_rng(seed)
+    names = ("tempered_stable", "bounded_variation", "jump_diffusion")
+    cases = [("bounded_variation", 0.0, 2.0, 0.0, 0.1, 0.05, 0.1)]
+    for i in range(n - 1):
+        a = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0))
+        b = a + float(rng.uniform(0.5, 2.5))
+        x = a if rng.random() < 0.2 else float(rng.uniform(a, b))
+        cases.append((names[i % 3], a, b, x, float(rng.uniform(0.0, 0.3)),
+                      float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))))
+    return cases
+
+
+def test_overshoot_of_w_sweep_at_the_default_tolerance(catalog):
+    # every row passes quad_rows' default error check; where a = 0 the exact
+    # value is 0 (Y never ends at a level where W^(q) is positive), and the
+    # worst such case, bounded variation on the short interval b = 0.54, reads 1.4e-6
+    models = {"tempered_stable": catalog["tempered_stable"],
+              "jump_diffusion": catalog["jump_diffusion"],
+              "bounded_variation": tempered_stable_process(alpha=0.6)}
+    for case in osf_sweep_cases():
+        name, a, b, x, delta, p_kill, q_inner = case
+        got = osf(models[name], a, b, x, delta, p_kill, q_inner)
+        assert math.isfinite(got), case
+        if a == 0.0:
+            assert abs(got) <= 1e-5, case

@@ -207,3 +207,39 @@ def test_model_from_dict_errors():
         model_from_dict({"gamma": -2.0, "sigma": 0.0,
                          "measure": {"family": "exponential", "intensity": 1.0,
                                      "decay": 1.0}})
+
+
+from levyfluct.models import tempered_stable_jumps
+
+
+def test_table_with_support_past_100():
+    meas = table_jumps([1.0, 200.0], [1.0, 1.0])
+    assert meas.tail(100.0) == pytest.approx(100.0, rel=1e-12)
+    assert meas.tail(200.0) == 0.0
+    model = LevyTriplet(gamma=0.5, sigma=0.0, measure=meas)
+    assert math.isfinite(right_inverse_phi(model, 0.05))
+
+
+def test_tail_that_does_not_vanish_is_rejected():
+    from dataclasses import replace
+
+    meas = exponential_jumps(1.0, 1.0)
+    with pytest.raises(ModelError, match="vanish"):
+        replace(meas, tail=lambda t: 1e-3 + np.exp(-np.asarray(t, dtype=float)))
+
+
+@pytest.mark.parametrize("measure", [
+    exponential_jumps(1.0, 1.0),
+    tempered_stable_jumps(0.08, 1.5, 1.0),
+    table_jumps([0.05, 0.5, 1.0, 3.0, 8.0], [0.7, 0.4, 0.25, 0.05, 0.001]),
+], ids=["exponential", "tempered_stable", "table"])
+def test_mass_between_is_zero_where_hi_is_not_above_lo(measure):
+    assert measure.mass_between(1.0, 0.5) == 0.0
+    assert measure.mass_between(0.7, 0.7) == 0.0
+    lo = np.array([0.2, 1.0, 0.5, 0.7, 2.0])
+    hi = np.array([1.0, 0.5, 3.0, 0.7, 1.5])
+    got = measure.mass_between(lo, hi)
+    assert got.shape == lo.shape
+    assert np.array_equal(got == 0.0, hi <= lo)
+    expected = [measure.mass_between(u, v) for u, v in zip(lo, hi)]
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)

@@ -303,3 +303,49 @@ def test_w_antiderivative_against_mpmath_quadrature(catalog):
                       for i in range(j))
         ref += piece(j, mp.mpf(x) - mp.mpf(float(nodes[j])))
         assert abs(sf.w_antiderivative(x) - ref) <= 1e-14 * ref, x
+
+
+def mp_tempered_w(model, q, xs, phi_guess):
+    """W^(q) of a tempered-stable model by mpmath's Talbot inversion at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    p = model.measure.params
+    with mp.workdps(30):
+        c, alpha, rho = mp.mpf(p["c"]), mp.mpf(p["alpha"]), mp.mpf(p["rho"])
+        gamma, qm = mp.mpf(model.gamma), mp.mpf(q)
+        kappa1 = c * rho ** (alpha - 1) * mp.gammainc(1 - alpha, rho)
+        g_neg = c * mp.gamma(-alpha)
+
+        def psi(lam):
+            return (gamma * lam - lam * kappa1
+                    + g_neg * ((lam + rho) ** alpha - rho ** alpha - alpha * rho ** (alpha - 1) * lam))
+
+        phi = mp.findroot(lambda lam: psi(lam) - qm, mp.mpf(phi_guess))
+        return np.array([float(mp.exp(phi * x) * mp.invertlaplace(
+            lambda s: 1 / (psi(s + phi) - qm), x, method="talbot")) for x in xs])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.5])
+def test_tempered_w_within_its_estimate_of_mpmath(catalog, q):
+    # the cache's interpolant, not the inversion, set the error: a monotone
+    # cubic read 1.9e-9 here against an estimate of 2e-10
+    model = catalog["tempered_stable"]
+    sf = ScaleFunction(model, q)
+    xs = np.array([0.05, 0.5, 1.0, 2.0, 5.0])
+    ref = mp_tempered_w(model, q, xs, sf.phi)
+    err = np.max(np.abs(sf.w(xs) - ref) / ref)
+    assert err <= 1e-10
+    assert err <= sf.tolerance_estimate
+
+
+def test_w_positive_and_increasing_next_to_zero(catalog):
+    from levyfluct.models import LevyTriplet, table_jumps
+
+    models = {f"{name}[q={q}]": (model, q) for name, model in catalog.items()
+              for q in (0.0, 0.05, 0.5)}
+    table = table_jumps([0.05, 0.5, 1.0, 3.0, 8.0], [0.7, 0.4, 0.25, 0.05, 0.001])
+    models["table"] = (LevyTriplet(gamma=0.5, sigma=0.0, measure=table), 0.05)
+    xs = np.linspace(0.0, 2e-5, 2001)[1:]
+    for label, (model, q) in models.items():
+        vals = ScaleFunction(model, q, method="laplace_inversion").w(xs)
+        assert np.all(vals > 0), label
+        assert np.all(np.diff(vals) > 0), label

@@ -1,0 +1,165 @@
+"""Bit-identity fingerprint of the package's numbers, one SHA-256 per section.
+
+Run in a checkout (it imports the package from that checkout's ``src``):
+
+    python tools/fingerprint.py
+
+and compare the printed digests with another checkout's.  A digest hashes
+the float64 bytes of every value in its section (a raised error hashes as
+its type name), so equal digests mean bit-identical numbers.  Sections:
+
+* ``scale[closed_form]`` and ``scale[laplace_inversion]``: W, w_exact, W',
+  W'', int_0^x W and Z on a fixed grid, for the four catalog fixtures and a
+  pure drift at q in {0, 0.05, 0.5}, under each method (the closed-form
+  section alone covers the closed forms);
+* ``exponent``: psi on a grid and Phi(q);
+* ``sweep_probe``: the value and accuracy of every route of the benchmark's
+  ``sweep`` workload at its probe point (f = 1, a = 0, b = 2, q = 0.05,
+  x = 1.6), and its overshoot of W;
+* ``golden_eval``: the golden ``eval`` output's bytes, and whether they match
+  ``tests/golden/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from levyfluct import cli, generator, identities, models  # noqa: E402
+from levyfluct.scale import ScaleFunction  # noqa: E402
+
+QS = (0.0, 0.05, 0.5)
+GRID = np.array([-1.0, 0.0, 1e-7, 3e-5, 1e-3, 0.05, 0.3, 1.0, 1.7, 3.2, 6.5, 9.9, 10.0, 11.5])
+LAMS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
+ROUTES = ("general[zero]", "general[constant_one]", "general[affine_at_a]", "simple",
+          "zero_extension")
+GOLDEN = ROOT / "tests" / "golden" / "eval_jump_diffusion.json"
+GOLDEN_SPEC = {
+    "model": {"gamma": 0.3, "sigma": 0.6,
+              "measure": {"family": "exponential", "intensity": 0.8, "decay": 1.5}},
+    "penalty": {"f": "exp(y)", "extension": {"kind": "affine_at_a"}},
+    "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0, "formula": "general"}
+
+
+def fixtures():
+    out = models.canonical_models()
+    out["pure_drift"] = models.LevyTriplet(gamma=0.4, sigma=0.0, measure=models.no_jumps())
+    return out
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+        self.errors = 0
+
+    def call(self, fn, *args):
+        """``fn(*args)``, or None after hashing the type of the error it raises."""
+        try:
+            return fn(*args)
+        except Exception as exc:  # an error is part of the fingerprint
+            self._h.update(type(exc).__name__.encode())
+            self.errors += 1
+            return None
+
+    def add(self, fn, *args):
+        """Hash the float64 bytes of ``fn(*args)``, or the type of its error."""
+        value = self.call(fn, *args)
+        if value is not None:
+            self._h.update(np.asarray(value, dtype=float).tobytes())
+
+    def hexdigest(self):
+        return f"{self._h.hexdigest()} ({self.errors} errors)"
+
+
+def scale_section(method):
+    d = Digest()
+    pos = GRID[GRID > 0]
+    for model in fixtures().values():
+        for q in QS:
+            sf = d.call(ScaleFunction, model, q, method)
+            if sf is None:
+                continue
+            for fn, xs in ((sf.w, GRID), (sf.w_exact, GRID), (sf.w_prime, pos),
+                           (sf.w_second, pos), (sf.w_antiderivative, GRID), (sf.z, GRID)):
+                d.add(fn, xs)
+            d.add(lambda: [sf.phi, sf.w0, sf.tolerance_estimate])
+    return d.hexdigest()
+
+
+def exponent_section():
+    d = Digest()
+    for model in fixtures().values():
+        d.add(models.laplace_exponent, model, LAMS)
+        for q in QS:
+            d.add(models.right_inverse_phi, model, q)
+    return d.hexdigest()
+
+
+def route_result(route, f, penalties, sf, prob):
+    """(value, accuracy) of one ``sweep`` route."""
+    if route == "simple":
+        val = identities.overshoot_functional_simple(penalties["constant_one"], sf, prob)
+    elif route == "zero_extension":
+        val = identities.overshoot_zero_extension(f, sf, prob)
+    else:
+        val = identities.overshoot_functional_general(penalties[route[len("general["):-1]],
+                                                      sf, prob)
+    return [val.value, val.accuracy]
+
+
+def sweep_probe_section():
+    d = Digest()
+    a, b, q, x = 0.0, 2.0, 0.05, 1.6
+    prob = identities.ExitProblem(a, b, q, x)
+
+    def f(y):
+        return np.ones(np.shape(y))
+
+    for model in models.canonical_models().values():
+        sf = ScaleFunction(model, q)
+        penalties = {k: generator.extend_penalty(f, a, b, k)
+                     for k in ("zero", "constant_one", "affine_at_a")}
+        for route in ROUTES:
+            d.add(route_result, route, f, penalties, sf, prob)
+        d.add(identities.overshoot_of_scale_function, model, 0.1, q, 0.1,
+              identities.ExitProblem(0.0, b, q, 1.0))
+    return d.hexdigest()
+
+
+def golden_section():
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(GOLDEN_SPEC))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["eval", "--spec", "-"])
+    finally:
+        sys.stdin = saved
+    text = out.getvalue().encode()
+    match = code == 0 and text == GOLDEN.read_bytes()
+    return f"{hashlib.sha256(text).hexdigest()} {'match' if match else 'DIFFERS'}"
+
+
+def main():
+    sections = {
+        "scale[closed_form]": lambda: scale_section("closed_form"),
+        "scale[laplace_inversion]": lambda: scale_section("laplace_inversion"),
+        "exponent": exponent_section,
+        "sweep_probe": sweep_probe_section,
+        "golden_eval": golden_section,
+    }
+    for name, fn in sections.items():
+        print(f"{name:26s} {fn()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

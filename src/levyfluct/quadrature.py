@@ -176,8 +176,9 @@ _EPS = np.finfo(float).eps
 # maps from the integration variable s to the original variable t:
 # PLAIN t = s; SQRT t = c + s^2 (c the row's left end, for integrable
 # singularities there); LOG t = e^s (densities spanning many decades near 0);
-# TAIL t = c + (1 - s)/s on s in (0, 1] (QUADPACK qagie's map of [c, inf))
-PLAIN, SQRT, LOG, TAIL = range(4)
+# TAIL t = c + (1 - s)/s on s in (0, 1] (QUADPACK qagie's map of [c, inf));
+# RSQRT t = c - s^2 on s <= 0 (c the row's right end: SQRT mirrored)
+PLAIN, SQRT, LOG, TAIL, RSQRT = range(5)
 
 
 def _to_mapped(code, anchor, lo, hi):
@@ -188,13 +189,15 @@ def _to_mapped(code, anchor, lo, hi):
     s0[m], s1[m] = np.log(lo[m]), np.log(hi[m])
     m = code == TAIL
     s0[m], s1[m] = 0.0, 1.0
+    m = code == RSQRT
+    s0[m], s1[m] = -np.sqrt(anchor[m] - lo[m]), -np.sqrt(anchor[m] - hi[m])
     return s0, s1
 
 
 def _from_mapped(code, anchor, s):
     """Original nodes and Jacobians for mapped nodes ``s`` (one row per interval)."""
     t, jac = s.copy(), np.ones(s.shape)
-    for kind in (SQRT, LOG, TAIL):
+    for kind in (SQRT, LOG, TAIL, RSQRT):
         m = code == kind
         if not m.any():
             continue
@@ -203,8 +206,10 @@ def _from_mapped(code, anchor, s):
             t[m], jac[m] = cm + sm * sm, 2.0 * sm
         elif kind == LOG:
             t[m] = jac[m] = np.exp(sm)
-        else:
+        elif kind == TAIL:
             t[m], jac[m] = cm + (1.0 - sm) / sm, 1.0 / (sm * sm)
+        else:
+            t[m], jac[m] = cm - sm * sm, -2.0 * sm
     return t, jac
 
 
@@ -247,7 +252,7 @@ def quad_rows(f, lo, hi, *, rows=None, maps=PLAIN, epsabs=DEFAULT_EPSABS,
     ``lo``/``hi`` list the intervals (``hi`` may be inf for the TAIL map),
     ``rows`` their row ids (default: one row per interval; several intervals
     in a row act as QUADPACK break points) and ``maps`` their maps (PLAIN,
-    SQRT, LOG or TAIL, scalar or per interval).  ``f(r, t)`` receives flat
+    SQRT, LOG, TAIL or RSQRT, scalar or per interval).  ``f(r, t)`` receives flat
     arrays of row ids and nodes and returns the integrand values.
 
     Each step bisects, in rows whose error estimate is above
@@ -265,12 +270,13 @@ def quad_rows(f, lo, hi, *, rows=None, maps=PLAIN, epsabs=DEFAULT_EPSABS,
     rows = np.arange(lo.size) if rows is None else np.asarray(rows, dtype=np.intp)
     nrows = int(rows.max()) + 1 if rows.size else 0
     code = np.broadcast_to(np.asarray(maps, dtype=np.intp), lo.shape)
-    anchor = np.full(nrows, np.inf)
-    np.minimum.at(anchor, rows, lo)
+    left, right = np.full(nrows, np.inf), np.full(nrows, -np.inf)
+    np.minimum.at(left, rows, lo)
+    np.maximum.at(right, rows, hi)
     # empty intervals add exact zeros
     keep = hi > lo
     rows, code, lo, hi = rows[keep], code[keep], lo[keep], hi[keep]
-    anchor = np.where(code == SQRT, anchor[rows], lo)
+    anchor = np.where(code == SQRT, left[rows], np.where(code == RSQRT, right[rows], lo))
     s0, s1 = _to_mapped(code, anchor, lo, hi)
     length = np.bincount(rows, s1 - s0, nrows)
     val, err, floor = _kronrod(f, rows, code, anchor, s0, s1)

@@ -438,3 +438,25 @@ def test_overshoot_of_w_sweep_at_the_default_tolerance(catalog):
         assert math.isfinite(got), case
         if a == 0.0:
             assert abs(got) <= 1e-5, case
+
+
+@pytest.mark.parametrize("x", [0.3, 1.2, 1.9])
+def test_tempered_general_identity_takes_at_most_four_generator_calls(catalog, monkeypatch, x):
+    # both ends of each resolvent row are graded, so the outer integral
+    # converges without a run of bisections
+    from levyfluct import generator
+
+    model = catalog["tempered_stable"]
+    sf = ScaleFunction(model, 0.05)
+    penalty = extend_penalty(np.exp, A, B, "constant_one")
+    calls = []
+    apply = generator.apply_generator
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(generator, "apply_generator", counted)
+    value = overshoot_functional_general(penalty, sf, ExitProblem(A, B, 0.05, x))
+    assert 1 <= len(calls) <= 4
+    assert math.isfinite(value.value) and value.accuracy <= 1e-9

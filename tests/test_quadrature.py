@@ -8,7 +8,7 @@ from scipy import special
 
 from levyfluct import NumericalAccuracyError
 from levyfluct import quadrature as qd
-from levyfluct.quadrature import LOG, PLAIN, SQRT, TAIL, check_rows, quad_rows
+from levyfluct.quadrature import LOG, PLAIN, RSQRT, SQRT, TAIL, check_rows, quad_rows
 
 
 def test_kronrod_and_gauss_weights_are_exact_to_their_degree():
@@ -92,3 +92,19 @@ def test_empty_intervals_add_exact_zeros():
     vals, errs = quad_rows(lambda r, t: t, [0.0, 1.0], [1.0, 1.0], maps=[SQRT, PLAIN])
     assert vals[1] == 0.0 and errs[1] == 0.0
     assert vals[0] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_rsqrt_grades_the_right_end_without_bisection():
+    # (1 - t)^(-1/2) on [0, 1], and t^(-1/2) (1 - t)^(-1/2) as a SQRT half plus an RSQRT half
+    calls = []
+
+    def g(r, t):
+        calls.append(t.size)
+        return np.where(r == 0, 1.0, 1.0 / np.sqrt(t)) / np.sqrt(1.0 - t)
+
+    vals, errs = quad_rows(g, [0.0, 0.0, 0.5], [1.0, 0.5, 1.0], rows=[0, 1, 1],
+                           maps=[RSQRT, SQRT, RSQRT])
+    assert len(calls) == 1
+    assert vals[0] == pytest.approx(2.0, rel=1e-13)
+    assert vals[1] == pytest.approx(math.pi, rel=1e-13)
+    assert np.all(errs <= 1e-12)

@@ -349,3 +349,44 @@ def test_w_positive_and_increasing_next_to_zero(catalog):
         vals = ScaleFunction(model, q, method="laplace_inversion").w(xs)
         assert np.all(vals > 0), label
         assert np.all(np.diff(vals) > 0), label
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.5])
+def test_tempered_w_below_the_first_cache_node_matches_mpmath(catalog, q):
+    # below x_max * 1e-6 W is inverted directly: a cubic from W(0) = 0 to the
+    # first node misses W(y) ~ y^(1/2) by 5% to 94% at these points
+    model = catalog["tempered_stable"]
+    sf = ScaleFunction(model, q)
+    xs = np.array([1e-9, 1e-7, 1e-6, 5e-6])
+    ref = mp_tempered_w(model, q, xs, sf.phi)
+    np.testing.assert_allclose(sf.w(xs), ref, rtol=1e-9, atol=0.0)
+
+
+def test_inversion_does_not_depend_on_its_batch(catalog):
+    model = catalog["tempered_stable"]
+    sf = ScaleFunction(model, 0.05)
+    xs = np.geomspace(1e-9, 20.0, 2048)
+    picks = np.arange(0, xs.size, 61)
+    for batch, one in ((invert_laplace(model, 0.05, xs), lambda x: invert_laplace(model, 0.05, x)),
+                       (sf.w_exact(xs), sf.w_exact)):
+        alone = np.array([one(xs[i]) for i in picks])
+        assert np.array_equal(batch[picks], alone)
+
+
+def test_w_difference_matches_the_plain_difference(catalog):
+    # below c = 0.3 the closed forms' plain difference itself cancels between
+    # exponentials, and far out both sides carry the rounding of phi * c in
+    # e^{phi c}, so the comparison runs over c in [0.3, 5]
+    eps = np.finfo(float).eps
+    ys = np.array([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 0.02, 0.2, 1.0, 3.0, 12.0])
+    for name, model in catalog.items():
+        for q in (0.0, 0.05, 0.5):
+            sf = ScaleFunction(model, q)
+            for c in (0.3, 1.0, 1.7, 2.0, 5.0):
+                plain = sf.w(c - ys) - sf.w(c)
+                assert np.all(np.abs(sf.w_difference(c, ys) - plain)
+                              <= 8.0 * eps * sf.w(c)), (name, q, c)
+            for c in (0.3, 1.0, 2.0):
+                for y in (1e-14, 1e-10):
+                    assert -sf.w_difference(c, y) / y == pytest.approx(
+                        sf.w_prime(c), rel=1e-6), (name, q, c, y)

@@ -16,6 +16,10 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
 * ``sweep_probe``: the value and accuracy of every route of the benchmark's
   ``sweep`` workload at its probe point (f = 1, a = 0, b = 2, q = 0.05,
   x = 1.6), and its overshoot of W;
+* ``overshoot_of_w``: ``overshoot_of_scale_function`` on the tempered-stable
+  fixture at the four piecewise-reference points of ``tests/test_identities.py``,
+  the first of which is the benchmark's ``w_overshoot_abs_err_max`` probe (exact
+  value 0), whose reading is printed after the digest;
 * ``golden_eval``: the golden ``eval`` output's bytes, and whether they match
   ``tests/golden/``.
 """
@@ -135,6 +139,22 @@ def sweep_probe_section():
     return d.hexdigest()
 
 
+# (a, b, x, delta, p, q) of the overshoot-of-W points
+OSF_POINTS = [(0.0, 2.0, 1.0, 0.1, 0.05, 0.1), (0.0, 2.0, 1.9, 0.1, 0.05, 0.1),
+              (0.5, 2.5, 1.5, 0.1, 0.05, 0.1), (0.3, 1.0, 0.9, 0.2, 0.0, 0.3)]
+
+
+def overshoot_of_w_section():
+    d = Digest()
+    model = models.canonical_models()["tempered_stable"]
+    values = []
+    for a, b, x, delta, p_kill, q_inner in OSF_POINTS:
+        values.append(d.call(identities.overshoot_of_scale_function, model, delta, p_kill,
+                             q_inner, identities.ExitProblem(a, b, p_kill, x)))
+        d.add(lambda: values[-1])
+    return f"{d.hexdigest()} probe {values[0]}"
+
+
 def golden_section():
     out = io.StringIO()
     saved = sys.stdin
@@ -155,6 +175,7 @@ def main():
         "scale[laplace_inversion]": lambda: scale_section("laplace_inversion"),
         "exponent": exponent_section,
         "sweep_probe": sweep_probe_section,
+        "overshoot_of_w": overshoot_of_w_section,
         "golden_eval": golden_section,
     }
     for name, fn in sections.items():

@@ -338,6 +338,15 @@ def _panels(lo, hi, cand):
     return pt[used], left[used], right[used]
 
 
+def check_tail_rows(vals, errs, z):
+    """Jump-tail integrals, one row per point z: a non-finite row is a divergent
+    tail (HypothesisViolationError at its z); the rest must pass ``check_rows``."""
+    if not np.all(np.isfinite(vals)):
+        raise HypothesisViolationError(
+            f"divergent jump-tail integral at z = {z[np.argmin(np.isfinite(vals))]:g}")
+    check_rows(vals, errs, where=z)
+
+
 def apply_generator(penalty, model, q, x):
     """(A - q) applied to the extension at x in (a, b); x may be an array.
 
@@ -410,11 +419,7 @@ def apply_generator(penalty, model, q, x):
                            panel_tol=None)
     check_rows(vals[:n_near], errs[:n_near], np.inf, where=x[near_pt])
     check_rows(vals[n_near:n_near + n], errs[n_near:n_near + n], where=x)
-    tails = vals[n_near + n:]
-    if not np.all(np.isfinite(tails)):
-        z = x[np.argmin(np.isfinite(tails))]
-        raise HypothesisViolationError(f"divergent jump-tail integral at z = {z:g}")
-    check_rows(tails, errs[n_near + n:], where=x)
+    check_tail_rows(vals[n_near + n:], errs[n_near + n:], x)
     total = total + np.bincount(pt, vals, n)
     toterr = np.bincount(pt, errs, n)
     out = val + total

@@ -7,7 +7,9 @@ Everything here evaluates expectations of the form
 and its ingredients in terms of scale functions.  The central evaluator takes
 a penalty plus a chosen extension; the value does not depend on which
 admissible extension was chosen, and the test-suite checks that independence
-extensively.
+extensively.  The general, simple, zero-extension and boundary-start forms
+all integrate against the killed resolvent density through one batched
+integral, ``_resolvent_integral``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
-                     NumericalAccuracyError)
-from .generator import (TAIL_FACTOR, check_membership, generator_closure,
+from .errors import ConditionNotMetError, ModelError, NumericalAccuracyError
+from .generator import (TAIL_FACTOR, check_membership, check_tail_rows, generator_closure,
                         penalty_function, require_simple_form)
-from .quadrature import LOG, PLAIN, RSQRT, SQRT, TAIL, breaks, check_rows, quad_rows
+from .quadrature import LOG, PLAIN, RSQRT, SQRT, TAIL, breaks, quad_rows
 from .scale import ScaleFunction
 
 # a resolvent density below -RESOLVENT_FLOOR is a numerical failure, not roundoff
@@ -137,25 +138,6 @@ def _resolvent_integral(sf, prob, G, kinks=()):
     return float(vals.sum()), float(errs.sum())
 
 
-def _scale_weighted_integral(sf, G, a, hi, kinks=()):
-    """int_a^hi G(z) W(hi - z) dz, with G taking arrays.
-
-    Split around a pivot value of G: the constant part integrates exactly
-    through the W antiderivative (so constant-generator cases reproduce the
-    Z identity to machine precision, which adaptive quadrature meets only to
-    its tolerance), and only the residual goes through adaptive quadrature,
-    with the square-root graded substitution at z = a, where the generator
-    may blow up, and the panels of ``_graded`` towards z = hi.
-    """
-    span = hi - a
-    g_ref = float(G(a + 0.5 * span))
-    base = g_ref * float(sf.w_antiderivative(span))
-    lo, up, maps = _graded(sf, a, hi, SQRT, kinks)
-    corr, err = quad_rows(lambda r, z: (G(z) - g_ref) * sf.w(hi - z), lo, up,
-                          rows=np.zeros(lo.size, dtype=np.intp), maps=maps)
-    return base + float(corr[0]), float(err[0])
-
-
 def _check_alignment(penalty, prob):
     if abs(penalty.a - prob.a) > 1e-12 or abs(penalty.b - prob.b) > 1e-12:
         raise ModelError("penalty extension and exit problem use different intervals")
@@ -164,8 +146,8 @@ def _check_alignment(penalty, prob):
 def _identity_setup(penalty, sf, prob, membership, name):
     """Checks and terms shared by the general and simple identities.
 
-    Returns the membership report (computed when not given), the ratio
-    W(x-a)/W(b-a) and the boundary term f~(x) - ratio * f~(b).
+    Returns the membership report (computed when not given) and the boundary
+    term f~(x) - W(x-a)/W(b-a) * f~(b).
     """
     _check_alignment(penalty, prob)
     a, b, x = prob.a, prob.b, prob.x
@@ -175,7 +157,17 @@ def _identity_setup(penalty, sf, prob, membership, name):
         membership = check_membership(penalty, sf.model)
     ratio = float(sf.w(x - a) / sf.w(b - a))
     boundary = float(penalty.f_tilde(x)) - ratio * float(penalty.f_tilde(b))
-    return membership, ratio, boundary
+    return membership, boundary
+
+
+def _value(sf, formula, boundary, integral, quad_err, creep=0.0, note=""):
+    """The GerberShiuValue of boundary + integral + creep.  Its accuracy adds the
+    quadrature error to the scale error tolerance_estimate * (|boundary| + |integral| + 1)."""
+    scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
+    return GerberShiuValue(
+        value=boundary + integral + creep,
+        boundary_term=boundary, integral_term=integral, creeping_term=creep,
+        formula_used=formula, accuracy=quad_err + scale_err, condition_note=note)
 
 
 def overshoot_functional_general(penalty, sf, prob, membership=None, override=False):
@@ -184,7 +176,7 @@ def overshoot_functional_general(penalty, sf, prob, membership=None, override=Fa
     Valid for any admissible extension; requires a < x <= b (x = a is a
     genuinely different case, see ``boundary_start``).
     """
-    membership, ratio, boundary = _identity_setup(penalty, sf, prob, membership, "general")
+    membership, boundary = _identity_setup(penalty, sf, prob, membership, "general")
     if membership.membership_unverified and not override:
         raise ConditionNotMetError(
             "membership is analytically unverified for this case; pass override=True")
@@ -192,22 +184,18 @@ def overshoot_functional_general(penalty, sf, prob, membership=None, override=Fa
     G = generator_closure(penalty, sf.model, prob.q)
     integral, quad_err = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
     creep = (penalty.f_at_a - penalty.right_limit_at_a) * creeping_transform(sf, prob)
-    scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
     note = "membership unverified, override" if membership.membership_unverified else ""
-    return GerberShiuValue(
-        value=boundary + integral + creep,
-        boundary_term=boundary, integral_term=integral, creeping_term=creep,
-        formula_used="general", accuracy=quad_err + scale_err,
-        condition_note=note)
+    return _value(sf, "general", boundary, integral, quad_err, creep, note)
 
 
 def overshoot_functional_simple(penalty, sf, prob, membership=None, override=False):
     """The simplified identity, valid under one of the Corollary conditions.
 
-    Splits the resolvent integral into two scale-weighted pieces; the
-    creeping correction vanishes under each admissibility condition.
+    The general identity without its creeping correction, which vanishes
+    under each admissibility condition: the boundary term plus the same
+    resolvent integral of (A - q) f~.
     """
-    membership, ratio, boundary = _identity_setup(penalty, sf, prob, membership, "simple")
+    membership, boundary = _identity_setup(penalty, sf, prob, membership, "simple")
     note = ""
     if not override:
         require_simple_form(membership)
@@ -215,17 +203,9 @@ def overshoot_functional_simple(penalty, sf, prob, membership=None, override=Fal
     elif membership.membership_unverified:
         note = "membership unverified, override"
 
-    a, b, x = prob.a, prob.b, prob.x
     G = generator_closure(penalty, sf.model, prob.q)
-    i_x, err_x = _scale_weighted_integral(sf, G, a, x, kinks=penalty.kinks)
-    i_b, err_b = _scale_weighted_integral(sf, G, a, b, kinks=tuple(penalty.kinks) + (x,))
-    integral = -i_x + ratio * i_b
-    scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
-    return GerberShiuValue(
-        value=boundary + integral,
-        boundary_term=boundary, integral_term=integral, creeping_term=0.0,
-        formula_used="simple", accuracy=err_x + err_b + scale_err,
-        condition_note=note)
+    integral, quad_err = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
+    return _value(sf, "simple", boundary, integral, quad_err, note=note)
 
 
 def overshoot_zero_extension(f, sf, prob):
@@ -250,28 +230,22 @@ def overshoot_zero_extension(f, sf, prob):
         out, errs = quad_rows(lambda r, t: f(z[r] - t) * dens(t), ends[:, :2], ends[:, 1:],
                               rows=np.repeat(np.arange(z.size), 2),
                               maps=np.tile([LOG, TAIL], z.size), panel_tol=None)
-        if not np.all(np.isfinite(out)):
-            raise HypothesisViolationError(
-                f"divergent jump-tail integral at z = {z[np.argmin(np.isfinite(out))]:g}")
-        check_rows(out, errs, where=z)
+        check_tail_rows(out, errs, z)
         return out
 
     f = penalty_function(f, a, b)
     integral, quad_err = _resolvent_integral(sf, prob, G0)
-    f_at_a = float(f(a))
-    creep = f_at_a * creeping_transform(sf, prob)
-    scale_err = sf.tolerance_estimate * (abs(integral) + 1.0)
-    return GerberShiuValue(
-        value=integral + creep,
-        boundary_term=0.0, integral_term=integral, creeping_term=creep,
-        formula_used="zero_extension", accuracy=quad_err + scale_err)
+    creep = float(f(a)) * creeping_transform(sf, prob)
+    return _value(sf, "zero_extension", 0.0, integral, quad_err, creep)
 
 
 def boundary_start(penalty, sf, prob):
     """The x = a case of the main identity.
 
     Unbounded variation: immediate passage, value f(a) exactly.  Bounded
-    variation: the W(0) boundary formula.  Dispatch is exact on x == a.
+    variation: the general identity at x = a, f~(a+) - W(0)/W(b-a) * f~(b)
+    plus the resolvent integral of (A - q) f~, whose density at x = a is
+    W(0) W(b-z)/W(b-a).  Dispatch is exact on x == a.
     """
     _check_alignment(penalty, prob)
     if prob.x != prob.a:
@@ -279,11 +253,10 @@ def boundary_start(penalty, sf, prob):
     model = sf.model
     if _models.path_variation(model) == "unbounded":
         return penalty.f_at_a
-    a, b = prob.a, prob.b
     G = generator_closure(penalty, model, prob.q)
-    i_b, _ = _scale_weighted_integral(sf, G, a, b, kinks=penalty.kinks)
-    ratio = sf.w0 / float(sf.w(b - a))
-    return float(penalty.right_limit_at_a) - ratio * (float(penalty.f_tilde(b)) - i_b)
+    integral, _ = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
+    ratio = sf.w0 / float(sf.w(prob.b - prob.a))
+    return float(penalty.right_limit_at_a) - ratio * float(penalty.f_tilde(prob.b)) + integral
 
 
 def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
@@ -327,7 +300,7 @@ def mass_balance_gap(sf, prob):
     """|q * int resolvent + up-transform + down-transform(f=1) - 1|.
 
     Conservation over the two exit routes plus killing; a consistency gauge
-    used by tests and the comparison command.
+    for tests and tools (no command of the package calls it).
     """
     a, b, q, x = prob.a, prob.b, prob.q, prob.x
     res_int, _ = _resolvent_integral(sf, prob, np.ones_like)

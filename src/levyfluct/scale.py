@@ -28,7 +28,7 @@ from scipy.special import binom
 from . import models as _models
 from .errors import ModelError, NumericalAccuracyError
 # tests import the moment series from here under its old name
-from .quadrature import exp_moments as _exp_moments, quad, quad_rows
+from .quadrature import SQRT, exp_moments as _exp_moments, quad, quad_rows
 
 _CLOSED_FORM_FAMILIES = ("none", "exponential")
 # Euler summation settings, and the number of nodes in the inversion cache
@@ -207,28 +207,41 @@ class ScaleFunction:
         return np.exp(self.phi * self._anti_nodes[j]) * (
             c[0] * mom[3] + c[1] * mom[2] + c[2] * mom[1] + c[3] * mom[0])
 
-    def _build_exact_antiderivative(self, xs):
-        """Exact integrals of W = e^{phi u} * spline over the cache pieces.
+    def _first_piece_integral(self, x):
+        """int_0^x of the directly inverted W at points 0 < x <= the first cache node,
+        one square-root mapped row per point (W may grow like y^(1/2) there)."""
+        vals, _ = quad_rows(lambda r, t: self._exact_kernel(t), 0.0, x, maps=SQRT,
+                            epsabs=0.0, epsrel=1e-12)
+        return vals
 
-        Assembled piece by piece in closed form, integrals of W are exact to
-        rounding, so the Z identity holds to machine precision (adaptive
-        quadrature would meet it only to its tolerance), and one cumulative
-        sum serves every x.
+    def _build_exact_antiderivative(self, xs):
+        """Integrals of W over the cache pieces, with one cumulative sum for every x.
+
+        Past the first geometric node each piece of W = e^{phi u} * spline is
+        integrated in closed form, exact to rounding.  Below it ``w`` inverts
+        directly (the spline's first piece cannot follow a steep W), so the
+        first piece integrates that same W by quadrature.  Z^(q) is then the
+        integral of the W that ``w`` returns.
         """
         self._anti_nodes = xs
         piece = self._piece_integral(np.arange(xs.size - 1), np.diff(xs))
+        piece[0] = self._first_piece_integral(xs[1:2])[0]
         self._anti_cum = np.concatenate([[0.0], np.cumsum(piece)])
 
     def _cached_antiderivative(self, x):
         vals = np.empty(x.shape)
-        inside = x <= self.x_max
-        j = np.searchsorted(self._anti_nodes, x[inside], side="right") - 1
-        j = np.clip(j, 0, self._anti_nodes.size - 2)
+        first = x < self._anti_nodes[1]
+        if np.any(first):
+            vals[first] = self._first_piece_integral(x[first])
+        inside = ~first & (x <= self.x_max)
+        j = np.minimum(np.searchsorted(self._anti_nodes, x[inside], side="right") - 1,
+                       self._anti_nodes.size - 2)
         vals[inside] = self._anti_cum[j] + self._piece_integral(j, x[inside] - self._anti_nodes[j])
-        if not inside.all():
-            tail, _ = quad_rows(lambda r, t: self.w(t), self.x_max, x[~inside],
+        outside = x > self.x_max
+        if np.any(outside):
+            tail, _ = quad_rows(lambda r, t: self.w(t), self.x_max, x[outside],
                                 epsabs=1e-12, epsrel=1e-11)
-            vals[~inside] = self._anti_cum[-1] + tail
+            vals[outside] = self._anti_cum[-1] + tail
         return vals
 
     # -- public evaluators ---------------------------------------------------
@@ -271,7 +284,7 @@ class ScaleFunction:
         return self._on_half_line(x, self._exact_kernel, self.w0)
 
     def w_antiderivative(self, x):
-        """int_0^x W(u) du; exact for the cached spline / closed form."""
+        """int_0^x W(u) du of the W that ``w`` returns; exact for closed forms."""
         return self._on_half_line(x, self._anti_kernel, 0.0)
 
     def w_difference(self, c, y):

@@ -338,6 +338,42 @@ def test_eval_nan_q_is_spec_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+# spec errors name their field: exit 2, nothing on stdout
+
+def spec_with(**fields):
+    """NONFINITE_BASE with ``fields`` set, and those given as None removed."""
+    spec = dict(NONFINITE_BASE, **fields)
+    return {key: val for key, val in spec.items() if val is not None}
+
+
+def jd_measure(**measure):
+    return dict(JD_MODEL, measure=measure)
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("eval", spec_with(a=None), "spec"),
+    ("eval", spec_with(penalty={"f": 1.0}), "penalty.f"),
+    ("eval", spec_with(formula="bogus"), "formula"),
+    ("scale", {"model": JD_MODEL, "q": 0.05, "grid": {"start": 0.0, "stop": 1.0, "n": 3}},
+     "grid"),
+    ("eval-reflected", spec_with(provider="bogus"), "provider"),
+    ("eval", spec_with(penalty={"f": "exp("}), "expr"),
+    ("eval", spec_with(penalty={"f": "max(y, 1, k=2)"}), "expr"),
+    ("eval", spec_with(penalty={"f": "W(y, y)"}), "expr"),
+    ("eval", spec_with(model=[0.3, 0.6]), "model"),
+    ("eval", spec_with(model=jd_measure(intensity=0.8, decay=1.5)), "measure.family"),
+    ("eval", spec_with(model=jd_measure(family="exponential", intensity=-1, decay=1.5)),
+     "measure[exponential]"),
+], ids=["missing-a", "f-number", "formula", "grid-at-0", "provider", "expr-unclosed",
+        "expr-keyword", "expr-w-arity", "model-list", "no-family", "negative-intensity"])
+def test_spec_error_names_its_field(tmp_path, capsys, command, spec, field):
+    path = write_spec(tmp_path, "spec.json", spec)
+    assert run([command, "--spec", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"spec error: {field}: " in captured.err
+
+
 def test_python_m_levyfluct_runs_the_cli():
     import os
     import subprocess

@@ -94,6 +94,20 @@ def test_simple_form_reproduces_z_identity(catalog, scale_cache):
                 assert abs(val.value - z_form(sf, prob)) < 1e-10, (name, q, x)
 
 
+def test_general_identity_reproduces_z_on_the_tempered_fixture(catalog, scale_cache):
+    # with f = 1 the general identity is the Z identity, which holds only if
+    # Z^(q) integrates the W that W^(q) returns, also below the first cache node
+    p1 = extend_penalty(ONE, A, B, "constant_one")
+    model = catalog["tempered_stable"]
+    rep = check_membership(p1, model)
+    for q in [0.02, 0.4]:
+        sf = scale_cache.get(model, q, x_max=10.0)
+        for x in [0.2, 0.7, 1.0, 1.5, 1.95]:
+            prob = ExitProblem(A, B, q, x)
+            val = overshoot_functional_general(p1, sf, prob, membership=rep)
+            assert abs(val.value - z_form(sf, prob)) < 1e-10, (q, x)
+
+
 def test_q_zero_constant_penalty_complements_up_exit(catalog, scale_cache):
     p1 = extend_penalty(ONE, A, B, "constant_one")
     for name, model in catalog.items():

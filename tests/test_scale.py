@@ -231,8 +231,14 @@ def loop_w_second(sf, xs):
 
 
 def loop_w_antiderivative(sf, xs):
-    """Piece-by-piece reference for int_0^x W over the cached interpolant."""
+    """Piece-by-piece reference for int_0^x W: the directly inverted W below the
+    first cache node, the cached interpolant past it."""
     phi, c, nodes = sf.phi, sf._interp.c, sf._anti_nodes
+
+    def first(x):
+        # int_0^x W in u = sqrt(t), where W may grow like t^(1/2)
+        return quad(lambda u: 2.0 * u * float(sf.w_exact(u * u)), 0.0, math.sqrt(x),
+                    epsabs=0.0, epsrel=1e-12)[0]
 
     def piece(j, h):
         if abs(phi * h) < 1e-4:
@@ -246,10 +252,13 @@ def loop_w_antiderivative(sf, xs):
         return math.exp(phi * nodes[j]) * (c[0, j] * mom[3] + c[1, j] * mom[2]
                                            + c[2, j] * mom[1] + c[3, j] * mom[0])
 
-    cum = np.cumsum([0.0] + [piece(j, nodes[j + 1] - nodes[j])
-                             for j in range(nodes.size - 1)])
+    cum = np.cumsum([0.0, first(nodes[1])] + [piece(j, nodes[j + 1] - nodes[j])
+                                              for j in range(1, nodes.size - 1)])
     out = []
     for xi in xs:
+        if xi < nodes[1]:
+            out.append(first(xi))
+            continue
         j = min(max(int(np.searchsorted(nodes, xi, side="right")) - 1, 0), nodes.size - 2)
         out.append(cum[j] + piece(j, xi - nodes[j]))
     return np.array(out)
@@ -283,7 +292,8 @@ def test_exponential_moments_against_mpmath():
 
 
 def test_w_antiderivative_against_mpmath_quadrature(catalog):
-    # int_0^x of the cached W = e^{phi u} * interpolant, piece by piece in mpmath
+    # int_0^x of W piece by piece in mpmath: the directly inverted W on the first
+    # piece (in u = sqrt(t)), the cached W = e^{phi u} * interpolant past it
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     sf = ScaleFunction(catalog["tempered_stable"], 0.05)
@@ -297,10 +307,12 @@ def test_w_antiderivative_against_mpmath_quadrature(catalog):
                                                            + c[3]),
                        [0, h], method="gauss-legendre")
 
+    first = mp.quad(lambda u: 2 * u * float(sf.w_exact(float(u) ** 2)),
+                    [0, mp.sqrt(mp.mpf(float(nodes[1])))], method="gauss-legendre")
     for x in (0.05, 1.0):
         j = int(np.searchsorted(nodes, x, side="right")) - 1
-        ref = mp.fsum(piece(i, mp.mpf(float(nodes[i + 1])) - mp.mpf(float(nodes[i])))
-                      for i in range(j))
+        ref = first + mp.fsum(piece(i, mp.mpf(float(nodes[i + 1])) - mp.mpf(float(nodes[i])))
+                              for i in range(1, j))
         ref += piece(j, mp.mpf(x) - mp.mpf(float(nodes[j])))
         assert abs(sf.w_antiderivative(x) - ref) <= 1e-14 * ref, x
 

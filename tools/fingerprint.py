@@ -16,6 +16,9 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
 * ``sweep_probe``: the value and accuracy of every route of the benchmark's
   ``sweep`` workload at its probe point (f = 1, a = 0, b = 2, q = 0.05,
   x = 1.6), and its overshoot of W;
+* ``boundary_and_mass``: ``boundary_start`` at x = a on the Cramer-Lundberg
+  fixture (f in {1, e^y}, q in {0.05, 0.4}), and ``mass_balance_gap`` on the
+  four catalog fixtures at the ``sweep_probe`` point;
 * ``overshoot_of_w``: ``overshoot_of_scale_function`` on the tempered-stable
   fixture at the four piecewise-reference points of ``tests/test_identities.py``,
   the first of which is the benchmark's ``w_overshoot_abs_err_max`` probe (exact
@@ -46,6 +49,8 @@ GRID = np.array([-1.0, 0.0, 1e-7, 3e-5, 1e-3, 0.05, 0.3, 1.0, 1.7, 3.2, 6.5, 9.9
 LAMS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
 ROUTES = ("general[zero]", "general[constant_one]", "general[affine_at_a]", "simple",
           "zero_extension")
+# (a, b, q, x) of the benchmark's sweep probe
+PROBE = (0.0, 2.0, 0.05, 1.6)
 GOLDEN = ROOT / "tests" / "golden" / "eval_jump_diffusion.json"
 GOLDEN_SPEC = {
     "model": {"gamma": 0.3, "sigma": 0.6,
@@ -120,22 +125,37 @@ def route_result(route, f, penalties, sf, prob):
     return [val.value, val.accuracy]
 
 
+def one(y):
+    return np.ones(np.shape(y))
+
+
 def sweep_probe_section():
     d = Digest()
-    a, b, q, x = 0.0, 2.0, 0.05, 1.6
+    a, b, q, x = PROBE
     prob = identities.ExitProblem(a, b, q, x)
-
-    def f(y):
-        return np.ones(np.shape(y))
-
     for model in models.canonical_models().values():
         sf = ScaleFunction(model, q)
-        penalties = {k: generator.extend_penalty(f, a, b, k)
+        penalties = {k: generator.extend_penalty(one, a, b, k)
                      for k in ("zero", "constant_one", "affine_at_a")}
         for route in ROUTES:
-            d.add(route_result, route, f, penalties, sf, prob)
+            d.add(route_result, route, one, penalties, sf, prob)
         d.add(identities.overshoot_of_scale_function, model, 0.1, q, 0.1,
               identities.ExitProblem(0.0, b, q, 1.0))
+    return d.hexdigest()
+
+
+def boundary_and_mass_section():
+    d = Digest()
+    a, b, q, x = PROBE
+    cl = models.canonical_models()["cramer_lundberg"]
+    for q_bs in (0.05, 0.4):
+        sf = ScaleFunction(cl, q_bs)
+        for f in (one, np.exp):
+            d.add(identities.boundary_start, generator.extend_penalty(f, a, b, "constant_one"),
+                  sf, identities.ExitProblem(a, b, q_bs, a))
+    for model in models.canonical_models().values():
+        d.add(identities.mass_balance_gap, ScaleFunction(model, q),
+              identities.ExitProblem(a, b, q, x))
     return d.hexdigest()
 
 
@@ -175,6 +195,7 @@ def main():
         "scale[laplace_inversion]": lambda: scale_section("laplace_inversion"),
         "exponent": exponent_section,
         "sweep_probe": sweep_probe_section,
+        "boundary_and_mass": boundary_and_mass_section,
         "overshoot_of_w": overshoot_of_w_section,
         "golden_eval": golden_section,
     }

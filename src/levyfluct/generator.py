@@ -313,8 +313,8 @@ def check_membership(penalty, model):
     rep.lemma_integrability = bool(integrable or penalty.smooth_junction)
 
     if (penalty.recipe == "scale_function" and unbounded and model.sigma == 0.0):
-        # smoothness theory does not settle this case; evaluation may be
-        # forced with override=True and the result carries this flag
+        # smoothness theory does not settle this case: the general and simple
+        # identities refuse it (overshoot_of_scale_function covers W^(q) itself)
         rep.membership_unverified = True
     return rep
 
@@ -388,7 +388,8 @@ def apply_generator(penalty, model, q, x):
         total = 0.5 * penalty.f_tilde_second(x) * meas.mass2_below(lo)
     near_pt, near_lo, near_hi = _panels(lo, np.ones(n), cand)
     far_max = np.max(np.where(np.isfinite(cand) & (cand > 1.0), cand, 1.0), axis=1)
-    hi_cut = np.maximum(np.maximum(2.0, far_max + 1.0), x - a + 1.0)
+    # the far row ends 1 past its last break (x - a among them), and at 2 or later
+    hi_cut = np.maximum(2.0, far_max + 1.0)
     far_pt, far_lo, far_hi = _panels(np.ones(n), hi_cut, cand)
     n_near = near_pt.size
     # rows: every near panel, then one far row and one tail row per point

@@ -7,14 +7,17 @@ Everything here evaluates expectations of the form
 and its ingredients in terms of scale functions.  The central evaluator takes
 a penalty plus a chosen extension; the value does not depend on which
 admissible extension was chosen, and the test-suite checks that independence
-extensively.  The general, simple, zero-extension and boundary-start forms
-all integrate against the killed resolvent density through one batched
-integral, ``_resolvent_integral``.
+extensively.  The simplified form is the general identity behind a check of
+the Corollary conditions, under which its creeping term is exactly 0.  The
+general, zero-extension and boundary-start forms integrate against the killed
+resolvent density through one batched integral, ``_resolvent_integral``, and
+every ratio W(x-a)/W(b-a) comes from ``two_sided_exit_up``, which rejects a
+scale function built at another rate than the problem's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +70,13 @@ class GerberShiuValue:
 
 
 def two_sided_exit_up(sf, prob):
-    """E_x[e^{-q tau_b^+} 1{tau_b^+ < tau_a^-}] = W(x-a)/W(b-a)."""
+    """E_x[e^{-q tau_b^+} 1{tau_b^+ < tau_a^-}] = W(x-a)/W(b-a).
+
+    The ratio of every identity here; ``ModelError`` unless ``sf`` is W^(q)
+    at the problem's rate q.
+    """
+    if sf.q != prob.q:
+        raise ModelError(f"scale function built at q = {sf.q:g} for a problem at q = {prob.q:g}")
     return float(sf.w(prob.x - prob.a) / sf.w(prob.b - prob.a))
 
 
@@ -76,7 +85,7 @@ def resolvent_density(sf, prob, z):
     a, b, x = prob.a, prob.b, prob.x
     if not (a <= z <= b):
         raise ModelError("resolvent density is supported on [a, b]")
-    val = float(sf.w(x - a) * sf.w(b - z) / sf.w(b - a) - sf.w(x - z))
+    val = float(two_sided_exit_up(sf, prob) * sf.w(b - z) - sf.w(x - z))
     if val < -RESOLVENT_FLOOR:
         raise NumericalAccuracyError("resolvent density came out negative", achieved=-val)
     return max(val, 0.0)
@@ -90,10 +99,10 @@ def creeping_transform(sf, prob):
     a, b, x = prob.a, prob.b, prob.x
     if not (a < x <= b):
         raise ModelError("creeping transform needs a < x <= b")
+    ratio = two_sided_exit_up(sf, prob)   # checks the rate also where sigma = 0
     sigma = sf.model.sigma
     if sigma == 0.0:
         return 0.0
-    ratio = sf.w(x - a) / sf.w(b - a)
     return float(0.5 * sigma ** 2 * (sf.w_prime(x - a) - ratio * sf.w_prime(b - a)))
 
 
@@ -125,7 +134,7 @@ def _resolvent_integral(sf, prob, G, kinks=()):
     Both rows go to one ``quad_rows`` call.
     """
     a, b, x = prob.a, prob.b, prob.x
-    ratio = float(sf.w(x - a) / sf.w(b - a))
+    ratio = two_sided_exit_up(sf, prob)
 
     def integrand(r, z):
         return G(z) * (ratio * sf.w_difference(b - a, z - a) - sf.w_difference(x - a, z - a))
@@ -143,69 +152,55 @@ def _check_alignment(penalty, prob):
         raise ModelError("penalty extension and exit problem use different intervals")
 
 
-def _identity_setup(penalty, sf, prob, membership, name):
-    """Checks and terms shared by the general and simple identities.
-
-    Returns the membership report (computed when not given) and the boundary
-    term f~(x) - W(x-a)/W(b-a) * f~(b).
-    """
-    _check_alignment(penalty, prob)
-    a, b, x = prob.a, prob.b, prob.x
-    if not a < x <= b:
-        raise ModelError(f"{name} identity needs a < x <= b; use boundary_start at x = a")
-    if membership is None:
-        membership = check_membership(penalty, sf.model)
-    ratio = float(sf.w(x - a) / sf.w(b - a))
-    boundary = float(penalty.f_tilde(x)) - ratio * float(penalty.f_tilde(b))
-    return membership, boundary
-
-
-def _value(sf, formula, boundary, integral, quad_err, creep=0.0, note=""):
+def _value(sf, formula, boundary, integral, quad_err, creep=0.0):
     """The GerberShiuValue of boundary + integral + creep.  Its accuracy adds the
     quadrature error to the scale error tolerance_estimate * (|boundary| + |integral| + 1)."""
     scale_err = sf.tolerance_estimate * (abs(boundary) + abs(integral) + 1.0)
     return GerberShiuValue(
         value=boundary + integral + creep,
         boundary_term=boundary, integral_term=integral, creeping_term=creep,
-        formula_used=formula, accuracy=quad_err + scale_err, condition_note=note)
+        formula_used=formula, accuracy=quad_err + scale_err)
 
 
-def overshoot_functional_general(penalty, sf, prob, membership=None, override=False):
+def overshoot_functional_general(penalty, sf, prob, membership=None):
     """The general identity: extension + resolvent integral + creeping correction.
 
     Valid for any admissible extension; requires a < x <= b (x = a is a
-    genuinely different case, see ``boundary_start``).
+    genuinely different case, see ``boundary_start``).  The membership report
+    is computed when not given, and one that leaves membership unverified
+    raises ``ConditionNotMetError``.
     """
-    membership, boundary = _identity_setup(penalty, sf, prob, membership, "general")
-    if membership.membership_unverified and not override:
+    _check_alignment(penalty, prob)
+    a, b, x = prob.a, prob.b, prob.x
+    if not a < x <= b:
+        raise ModelError("general identity needs a < x <= b; use boundary_start at x = a")
+    if membership is None:
+        membership = check_membership(penalty, sf.model)
+    if membership.membership_unverified:
         raise ConditionNotMetError(
-            "membership is analytically unverified for this case; pass override=True")
-
+            "membership is analytically unverified for the scale_function extension of a "
+            "model of unbounded variation without a Gaussian part; "
+            "use overshoot_of_scale_function")
+    boundary = float(penalty.f_tilde(x)) - two_sided_exit_up(sf, prob) * float(penalty.f_tilde(b))
     G = generator_closure(penalty, sf.model, prob.q)
     integral, quad_err = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
     creep = (penalty.f_at_a - penalty.right_limit_at_a) * creeping_transform(sf, prob)
-    note = "membership unverified, override" if membership.membership_unverified else ""
-    return _value(sf, "general", boundary, integral, quad_err, creep, note)
+    return _value(sf, "general", boundary, integral, quad_err, creep)
 
 
-def overshoot_functional_simple(penalty, sf, prob, membership=None, override=False):
-    """The simplified identity, valid under one of the Corollary conditions.
+def overshoot_functional_simple(penalty, sf, prob, membership=None):
+    """The simplified identity: the general identity, under one of the Corollary conditions.
 
-    The general identity without its creeping correction, which vanishes
-    under each admissibility condition: the boundary term plus the same
-    resolvent integral of (A - q) f~.
+    Each condition makes the general identity's creeping term exactly 0:
+    sigma = 0 (no creeping), or f(a) = f~(a+) (no correction).  Raises
+    ``ConditionNotMetError`` when none holds, and wherever the general
+    identity does.
     """
-    membership, boundary = _identity_setup(penalty, sf, prob, membership, "simple")
-    note = ""
-    if not override:
-        require_simple_form(membership)
-        note = "condition verified numerically"
-    elif membership.membership_unverified:
-        note = "membership unverified, override"
-
-    G = generator_closure(penalty, sf.model, prob.q)
-    integral, quad_err = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
-    return _value(sf, "simple", boundary, integral, quad_err, note=note)
+    if membership is None:
+        membership = check_membership(penalty, sf.model)
+    require_simple_form(membership)
+    val = overshoot_functional_general(penalty, sf, prob, membership=membership)
+    return replace(val, formula_used="simple", condition_note="condition verified numerically")
 
 
 def overshoot_zero_extension(f, sf, prob):
@@ -255,7 +250,7 @@ def boundary_start(penalty, sf, prob):
         return penalty.f_at_a
     G = generator_closure(penalty, model, prob.q)
     integral, _ = _resolvent_integral(sf, prob, G, kinks=penalty.kinks)
-    ratio = sf.w0 / float(sf.w(prob.b - prob.a))
+    ratio = two_sided_exit_up(sf, prob)
     return float(penalty.right_limit_at_a) - ratio * float(penalty.f_tilde(prob.b)) + integral
 
 

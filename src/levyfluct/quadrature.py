@@ -37,49 +37,38 @@ ROW_LIMIT = 200
 
 
 def quad(f, lo, hi, *, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
-         points=None, limit=200, panel_tol=PANEL_TOLERANCE):
-    """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi].
+         limit=200, panel_tol=PANEL_TOLERANCE):
+    """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi] (QUADPACK via scipy).
 
-    Returns ``(value, error_estimate)``.  ``points`` marks interior break
-    locations (kinks/jumps of the integrand); infinite upper limits are
-    supported (``points`` is ignored there, split beforehand if needed).
+    Returns ``(value, error_estimate)``; an infinite upper limit is supported.
+    An integrand with kinks or jumps inside is best split there beforehand,
+    or integrated by ``quad_rows`` with the intervals as one row.
     """
     if lo == hi:
         return 0.0, 0.0
-    kwargs = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if points is not None and np.isfinite(hi):
-        pts = sorted(p for p in points if lo < p < hi)
-        if pts:
-            kwargs["points"] = pts
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, lo, hi, **kwargs)
+        val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
     if not math.isfinite(val) or err > max(panel_tol, abs(val) * 1e-6):
         raise NumericalAccuracyError(
             f"quadrature on [{lo:g}, {hi}] did not converge", achieved=err)
     return val, err
 
 
-def quad_singular_left(f, lo, hi, *, points=None, **kwargs):
+def quad_singular_left(f, lo, hi, **kwargs):
     """Integrate ``f`` on [lo, hi] with an integrable singularity at ``lo``.
 
     Uses the substitution z = lo + u^2, which turns any (z-lo)^(-s) blow-up
     with s <= 1/2 into a bounded integrand and softens stronger ones; this is
     the graded-mesh treatment for scale-function derivative blow-ups and for
-    jump-tail factors diverging at the lower endpoint.  ``points`` are break
-    locations in the original coordinate.  No package module calls it any
-    more (the SQRT map of ``quad_rows`` does this); it stays for callers
-    (bench/tracer.py wraps it).
+    jump-tail factors diverging at the lower endpoint.  No package module
+    calls it any more (the SQRT map of ``quad_rows`` does this); it stays for
+    callers (bench/tracer.py wraps it).
     """
-    umax = math.sqrt(hi - lo)
-
     def g(u):
         return 2.0 * u * f(lo + u * u)
 
-    upoints = None
-    if points is not None:
-        upoints = [math.sqrt(p - lo) for p in points if lo < p < hi]
-    return quad(g, 0.0, umax, points=upoints, **kwargs)
+    return quad(g, 0.0, math.sqrt(hi - lo), **kwargs)
 
 
 def quad_log(f, lo, hi, **kwargs):

@@ -130,6 +130,46 @@ def test_compare_routes(tmp_path):
     assert any(r["pass"] == "False" for r in rows)
 
 
+def test_compare_takes_simple_from_the_general_route(tmp_path, monkeypatch):
+    # where it is admissible the simplified identity is the general identity
+    # with the constant_one extension, so compare does not evaluate it again
+    import levyfluct.identities as identities
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare evaluated the simple route")
+
+    monkeypatch.setattr(identities, "overshoot_functional_simple", refuse)
+    spec = write_spec(tmp_path, "cmp.json", {
+        "model": JD_MODEL, "penalty": {"f": "exp(y)"},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0, "mc": {"paths": 200, "seed": 3}})
+    out = tmp_path / "cmp.out"
+    assert run(["compare", "--spec", spec, "--out", str(out)]) == 0
+    routes = json.loads(out.read_text())["routes"]
+    assert routes["simple"] == routes["general[constant_one]"]
+
+
+@pytest.mark.parametrize("command, columns", [
+    ("eval", ["value", "boundary_term", "integral_term", "creeping_term", "formula_used",
+              "accuracy"]),
+    ("mc", ["mean", "stderr", "n_paths", "capped_fraction"])])
+def test_csv_record_matches_json(tmp_path, command, columns):
+    spec = write_spec(tmp_path, "spec.json", {
+        "model": JD_MODEL,
+        "penalty": {"f": "exp(y)", "extension": {"kind": "constant_one"}},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0, "mc": {"paths": 300, "seed": 4}})
+    outj, outc = tmp_path / "out.json", tmp_path / "out.csv"
+    assert run([command, "--spec", spec, "--out", str(outj)]) == 0
+    assert run([command, "--spec", spec, "--format", "csv", "--out", str(outc)]) == 0
+    payload = json.loads(outj.read_text())
+    flat = {**payload.pop("terms", {}), **payload}
+    reader = csv.DictReader(outc.read_text().splitlines())
+    assert reader.fieldnames == columns
+    (row,) = list(reader)
+    for key in columns:
+        want = flat[key]
+        assert (row[key] if isinstance(want, str) else float(row[key])) == want, key
+
+
 def test_eval_refracted_delta_zero_matches_eval(tmp_path):
     base = {
         "model": JD_MODEL,

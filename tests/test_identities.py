@@ -139,6 +139,43 @@ def test_simple_requires_admissibility(catalog, scale_cache):
                                     membership=rep)
 
 
+@pytest.mark.parametrize("identity", [overshoot_functional_general, overshoot_functional_simple])
+def test_unverified_membership_is_refused_by_both_forms(catalog, scale_cache, identity):
+    # the scale_function extension of a model of unbounded variation without a
+    # Gaussian part: no form of the identity runs it, the error names the one that does
+    ts = catalog["tempered_stable"]
+    sf = scale_cache.get(ts, 0.05, x_max=4.0)
+    p = extend_penalty(sf.w, 0.5, 2.5, ExtensionRecipe(kind="scale_function", scale=sf),
+                       f_kinks=(0.0,))
+    with pytest.raises(ConditionNotMetError, match="overshoot_of_scale_function"):
+        identity(p, sf, ExitProblem(0.5, 2.5, 0.05, 1.5))
+
+
+# every entry point that takes a ScaleFunction and an ExitProblem, as (penalty, sf, prob) -> value
+RATE_ENTRY_POINTS = {
+    "two_sided_exit_up": lambda p, sf, prob: two_sided_exit_up(sf, prob),
+    "resolvent_density": lambda p, sf, prob: resolvent_density(sf, prob, 0.5),
+    "creeping_transform": lambda p, sf, prob: creeping_transform(sf, prob),
+    "general": lambda p, sf, prob: overshoot_functional_general(p, sf, prob),
+    "simple": lambda p, sf, prob: overshoot_functional_simple(p, sf, prob),
+    "zero_extension": lambda p, sf, prob: overshoot_zero_extension(np.exp, sf, prob),
+    "boundary_start": lambda p, sf, prob: boundary_start(
+        p, sf, ExitProblem(prob.a, prob.b, prob.q, prob.a)),
+    "mass_balance_gap": lambda p, sf, prob: mass_balance_gap(sf, prob),
+}
+
+
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry in RATE_ENTRY_POINTS for name in ["jump_diffusion", "cramer_lundberg"]
+    # of unbounded variation, boundary_start is f(a) and reads no scale function
+    if (entry, name) != ("boundary_start", "jump_diffusion")])
+def test_scale_function_at_another_rate_is_refused(catalog, scale_cache, entry, name):
+    sf = scale_cache.get(catalog[name], 0.05)
+    p = extend_penalty(np.exp, A, B, "constant_one")
+    with pytest.raises(ModelError, match="q = 0.05 for a problem at q = 0.4"):
+        RATE_ENTRY_POINTS[entry](p, sf, ExitProblem(A, B, 0.4, 1.0))
+
+
 def test_zero_extension_route(catalog, scale_cache):
     for name in ["jump_diffusion", "cramer_lundberg"]:
         model = catalog[name]

@@ -10,10 +10,10 @@ Two evaluation methods:
   Poisson exponential jumps): partial fractions of 1/(psi - q) give W as a
   short sum of exponentials, with exact derivatives and antiderivative.
 * ``laplace_inversion`` - Euler-summation (Bromwich contour) inversion of the
-  exponentially tilted transform 1/(psi(s + Phi(q)) - q).  The tilted scale
-  function is bounded and monotone, which keeps the inversion stable; values
-  are cached on a geometric grid and interpolated by a not-a-knot cubic
-  spline.
+  exponentially tilted transform 1/(psi(s + Phi(q)) - q), in bounded memory,
+  ``BLOCK_ROWS`` contour points at a time.  The tilted scale function is
+  bounded and monotone, which keeps the inversion stable; values are cached
+  on a geometric grid and interpolated by a not-a-knot cubic spline.
 """
 
 from __future__ import annotations
@@ -34,46 +34,46 @@ _CLOSED_FORM_FAMILIES = ("none", "exponential")
 # Euler summation settings, and the number of nodes in the inversion cache
 INVERSION_PARAMS = dict(a_param=28.0, n_terms=60, m_euler=35)
 GRID_NODES = 2048
+# contour points per euler_inversion block: ~100 KB per complex temporary, in cache
+BLOCK_ROWS = 64
 # Euler's weights binom(m, k) / 2^m; scipy's binomials sum to exactly 2^m
 _EULER_WEIGHTS = binom(INVERSION_PARAMS["m_euler"], np.arange(INVERSION_PARAMS["m_euler"] + 1))
 _EULER_WEIGHTS /= 2.0 ** INVERSION_PARAMS["m_euler"]
 
 
 def euler_inversion(transform, x):
-    """Invert a Laplace transform at x > 0 by Euler-accelerated summation.
+    """Invert a Laplace transform at finite x > 0 by Euler-accelerated summation.
 
     ``transform`` must accept a complex ndarray.  The contour abscissa is
     a_param/(2x) (``INVERSION_PARAMS``); the aliasing error is
     O(exp(-a_param)) times the scale of the inverted function, so the target
     function should be bounded (tilt exponentially growing functions first).
+    The contour is evaluated ``BLOCK_ROWS`` points at a time, each row summed
+    on its own: memory stays bounded and a value does not depend on its batch.
     """
     a_param, n_terms = INVERSION_PARAMS["a_param"], INVERSION_PARAMS["n_terms"]
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
-    if np.any(xs <= 0):
-        raise ValueError("inversion points must be positive")
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("inversion points must be positive and finite")
     k = np.arange(n_terms + _EULER_WEIGHTS.size)
-    s = (a_param + 2j * np.pi * k[None, :]) / (2.0 * xs[:, None])
-    vals = np.real(transform(s)) * np.where(k % 2 == 0, 1.0, -1.0)[None, :]
-    vals[:, 0] *= 0.5
-    partial = np.cumsum(vals, axis=1)
-    # a row-wise sum, not a matrix product, so a point's value does not depend on its batch
-    est = (partial[:, n_terms:] * _EULER_WEIGHTS).sum(axis=1)
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    est = np.empty(xs.shape)
+    for lo in range(0, xs.size, BLOCK_ROWS):
+        s = (a_param + 2j * np.pi * k) / (2.0 * xs[lo:lo + BLOCK_ROWS, None])
+        vals = np.real(transform(s)) * signs
+        vals[:, 0] *= 0.5
+        partial = np.cumsum(vals, axis=1)
+        # a row-wise sum, not a matrix product, so a point's value does not depend on its batch
+        est[lo:lo + BLOCK_ROWS] = (partial[:, n_terms:] * _EULER_WEIGHTS).sum(axis=1)
     out = est * math.exp(a_param / 2.0) / xs
     return out.item() if scalar else out
 
 
 def _tilted_inverse(model, q, phi, x):
     """e^{-Phi(q) x} W^(q)(x) at x > 0: the inverse of 1/(psi(s + Phi(q)) - q)."""
-    jp = model.measure.exponent_jump_part
-    gamma, sig2 = model.gamma, model.sigma ** 2
-
-    def transform(s):
-        lam = s + phi
-        return 1.0 / (gamma * lam + 0.5 * sig2 * lam * lam + jp(lam) - q)
-
-    return euler_inversion(transform, x)
+    return euler_inversion(lambda s: 1.0 / (_models.laplace_exponent(model, s + phi) - q), x)
 
 
 def _direct_w(model, q, phi, x):
@@ -248,9 +248,11 @@ class ScaleFunction:
 
     @staticmethod
     def _on_half_line(x, kernel, at_zero):
-        """``kernel`` at the points x > 0, ``at_zero`` at 0 and zero below."""
+        """``kernel`` at the points x > 0, ``at_zero`` at 0 and zero below; NaN raises."""
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x)
+        if np.isnan(xs).any():
+            raise ValueError("scale functions are undefined at NaN")
         out = np.zeros(xs.shape)
         out[xs == 0.0] = at_zero
         pos = xs > 0
@@ -322,7 +324,7 @@ class ScaleFunction:
         Closed forms differentiate exactly; the inversion method uses central
         differences with one Richardson refinement.
         """
-        if np.any(np.asarray(x) <= 0):
+        if not np.all(np.asarray(x) > 0):
             raise ValueError("w_prime requires x > 0")
         return self._derivative(
             x, 1, 1e-6, (1.0, -1.0, 0.5, -0.5),
@@ -336,21 +338,18 @@ class ScaleFunction:
 
     def z(self, x):
         """Z^(q)(x) = 1 + q int_0^x W^(q)(u) du; equals 1 for x <= 0."""
-        if self.q == 0.0:
-            x = np.asarray(x, dtype=float)
-            return 1.0 if x.ndim == 0 else np.ones(x.shape)
-        return 1.0 + self.q * self.w_antiderivative(x)
+        anti = self._anti_kernel if self.q else (lambda xs: np.zeros(xs.shape))
+        return 1.0 + self.q * self._on_half_line(x, anti, 0.0)
 
 
 def invert_laplace(model, q, x):
     """Point evaluation of W^(q)(x) by contour inversion (no cache).
 
     Convenience wrapper used for cross-checks; ``ScaleFunction`` with
-    method='laplace_inversion' is the cached production path.
+    method='laplace_inversion' is the cached production path.  ``x`` must be
+    finite and positive (``ValueError`` otherwise).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
     return _direct_w(model, float(q), _models.right_inverse_phi(model, q), x)
 
 

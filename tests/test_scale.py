@@ -1,13 +1,20 @@
 """Scale functions: closed forms, Laplace inversion, transforms, Z."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from levyfluct import (ScaleFunction, invert_laplace,
                        laplace_exponent, right_inverse_phi, transform_roundtrip)
+from levyfluct.models import LevyTriplet, table_jumps
 from levyfluct.quadrature import quad
+from levyfluct.scale import BLOCK_ROWS
+
+# the 40-segment geometric table of test_table_measure.py
+GEO = np.geomspace(0.05, 8.0, 40)
+GEO_TABLE = LevyTriplet(gamma=1.0, sigma=0.0, measure=table_jumps(GEO, 0.7 * np.exp(-1.2 * GEO)))
 
 
 def bm_sinh_candidate(x, q, mu=0.25, s=1.0):
@@ -383,6 +390,53 @@ def test_inversion_does_not_depend_on_its_batch(catalog):
                        (sf.w_exact(xs), sf.w_exact)):
         alone = np.array([one(xs[i]) for i in picks])
         assert np.array_equal(batch[picks], alone)
+
+
+@pytest.mark.parametrize("name", ["geometric_table", "jump_diffusion"])
+def test_inversion_is_bit_identical_across_blocks(catalog, name):
+    model = GEO_TABLE if name == "geometric_table" else catalog[name]
+    xs = np.geomspace(1e-6, 20.0, 2048)
+    # whole blocks, then a partial last block
+    for n in (xs.size, xs.size - BLOCK_ROWS // 2):
+        batch = invert_laplace(model, 0.05, xs[:n])
+        last = (n - 1) // BLOCK_ROWS * BLOCK_ROWS
+        picks = [0, BLOCK_ROWS - 1, BLOCK_ROWS, 5 * BLOCK_ROWS + 7, last - 1, last, n - 1]
+        alone = np.array([invert_laplace(model, 0.05, xs[i]) for i in picks])
+        assert np.array_equal(batch[picks], alone), n
+
+
+@pytest.mark.parametrize("name", ["tempered_stable", "geometric_table"])
+def test_scale_function_build_memory_stays_flat(catalog, name):
+    model = GEO_TABLE if name == "geometric_table" else catalog[name]
+    tracemalloc.start()
+    try:
+        ScaleFunction(model, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+NAN_CASES = ([(name, call, math.nan)
+              for name in ("tempered_stable", "jump_diffusion")
+              for call in ("w", "w_exact", "w_antiderivative", "z", "w_prime", "invert_laplace")]
+             + [("tempered_stable", "w", math.inf)])
+
+
+@pytest.mark.parametrize("name, call, bad", NAN_CASES)
+def test_scale_functions_raise_at_nan_and_past_the_inversion(catalog, scale_cache, name, call,
+                                                            bad):
+    sf = scale_cache.get(catalog[name], 0.05)
+    fn = ((lambda x: invert_laplace(sf.model, sf.q, x)) if call == "invert_laplace"
+          else getattr(sf, call))
+    with pytest.raises(ValueError):
+        fn(np.array([0.5, bad]))
+
+
+def test_scale_functions_keep_their_limits_at_infinity(catalog, scale_cache):
+    for name in ("tempered_stable", "jump_diffusion"):
+        assert scale_cache.get(catalog[name], 0.05).w(-math.inf) == 0.0
+    assert scale_cache.get(catalog["jump_diffusion"], 0.05).w(math.inf) == math.inf
 
 
 def test_w_difference_matches_the_plain_difference(catalog):

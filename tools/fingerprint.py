@@ -12,6 +12,9 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   W'', int_0^x W and Z on a fixed grid, for the four catalog fixtures and a
   pure drift at q in {0, 0.05, 0.5}, under each method (the closed-form
   section alone covers the closed forms);
+* ``scale[table]`` (printed last, so the other lines keep their order): W,
+  w_exact, W' and Z on the same grid for the 40-segment geometric table of
+  ``tests/test_table_measure.py`` at the same q;
 * ``exponent``: psi on a grid and Phi(q);
 * ``sweep_probe``: the value and accuracy of every route of the benchmark's
   ``sweep`` workload at its probe point (f = 1, a = 0, b = 2, q = 0.05,
@@ -51,6 +54,8 @@ ROUTES = ("general[zero]", "general[constant_one]", "general[affine_at_a]", "sim
           "zero_extension")
 # (a, b, q, x) of the benchmark's sweep probe
 PROBE = (0.0, 2.0, 0.05, 1.6)
+# the geometric table of tests/test_table_measure.py
+GEO = np.geomspace(0.05, 8.0, 40)
 GOLDEN = ROOT / "tests" / "golden" / "eval_jump_diffusion.json"
 GOLDEN_SPEC = {
     "model": {"gamma": 0.3, "sigma": 0.6,
@@ -101,6 +106,20 @@ def scale_section(method):
                            (sf.w_second, pos), (sf.w_antiderivative, GRID), (sf.z, GRID)):
                 d.add(fn, xs)
             d.add(lambda: [sf.phi, sf.w0, sf.tolerance_estimate])
+    return d.hexdigest()
+
+
+def table_section():
+    d = Digest()
+    model = models.LevyTriplet(gamma=1.0, sigma=0.0,
+                               measure=models.table_jumps(GEO, 0.7 * np.exp(-1.2 * GEO)))
+    for q in QS:
+        sf = d.call(ScaleFunction, model, q)
+        if sf is None:
+            continue
+        for fn, xs in ((sf.w, GRID), (sf.w_exact, GRID), (sf.w_prime, GRID[GRID > 0]),
+                       (sf.z, GRID)):
+            d.add(fn, xs)
     return d.hexdigest()
 
 
@@ -198,6 +217,7 @@ def main():
         "boundary_and_mass": boundary_and_mass_section,
         "overshoot_of_w": overshoot_of_w_section,
         "golden_eval": golden_section,
+        "scale[table]": table_section,
     }
     for name, fn in sections.items():
         print(f"{name:26s} {fn()}", flush=True)

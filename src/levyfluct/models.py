@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import ModelError, RootFindingError, SpecError
 from .quadrature import compensated_exp, exp_moments, quad
@@ -451,6 +451,62 @@ def laplace_exponent_derivative(model, lam):
     return model.gamma + model.sigma ** 2 * lam + model.measure.exponent_jump_deriv(lam)
 
 
+def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """A root of f in [xa, xb], where f changes sign, by Brent's (1973) method.
+
+    Step for step scipy's C ``brentq`` (inverse quadratic extrapolation or
+    secant, else bisection), so a root agrees with ``scipy.optimize.brentq``
+    to the last bit at the same ``xtol``, ``rtol`` and ``maxiter``.  A NaN
+    value raises ``ValueError``; no sign change or no convergence within
+    ``maxiter`` steps raises ``RootFindingError``.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RootFindingError(f"f({xa}) and f({xb}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RootFindingError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def right_inverse_phi(model, q):
     """Phi(q) = sup{lam >= 0 : psi(lam) = q}, the largest root of the convex psi.
 
@@ -480,7 +536,7 @@ def right_inverse_phi(model, q):
         hi *= 2.0
     else:
         raise RootFindingError("bracket expansion failed for psi(lam) = q")
-    phi = optimize.brentq(lambda l: psi(l) - q, lo, hi, rtol=1e-14, maxiter=200)
+    phi = brentq(lambda l: psi(l) - q, lo, hi, rtol=1e-14, maxiter=200)
     for _ in range(3):
         resid = psi(phi) - q
         slope = laplace_exponent_derivative(model, phi)

@@ -16,7 +16,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalAccuracyError
 
@@ -40,12 +39,14 @@ def quad(f, lo, hi, *, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
          limit=200, panel_tol=PANEL_TOLERANCE):
     """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi] (QUADPACK via scipy).
 
-    Returns ``(value, error_estimate)``; an infinite upper limit is supported.
+    scipy.integrate is imported on the first call, so the package's import
+    does not load it.  Returns ``(value, error_estimate)``; an infinite upper limit is supported.
     An integrand with kinks or jumps inside is best split there beforehand,
     or integrated by ``quad_rows`` with the intervals as one row.
     """
     if lo == hi:
         return 0.0, 0.0
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)

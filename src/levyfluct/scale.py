@@ -22,7 +22,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.special import binom
 
 from . import models as _models
@@ -69,6 +69,61 @@ def euler_inversion(transform, x):
         est[lo:lo + BLOCK_ROWS] = (partial[:, n_terms:] * _EULER_WEIGHTS).sum(axis=1)
     out = est * math.exp(a_param / 2.0) / xs
     return out.item() if scalar else out
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x, y), x increasing with at least four nodes.
+
+    The same numbers as scipy's ``CubicSpline(x, y, extrapolate=False)``, to
+    the last bit: the slopes solve scipy's banded system, not-a-knot end rows
+    included, with the LAPACK routine its ``solve_banded((1, 1), ...)`` calls;
+    ``c`` is its ``(4, n-1)`` coefficient array (piece j is
+    c[0] t^3 + c[1] t^2 + c[2] t + c[3], t = u - x[j]); and a call sums in
+    its order.  A point outside [x[0], x[-1]], or NaN, evaluates to NaN.
+    """
+
+    def __init__(self, x, y):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # the tridiagonal system for the slopes at the nodes, by diagonals
+        diag, rhs = np.empty(x.size), np.empty(x.size)
+        sub, sup = np.empty(x.size - 1), np.empty(x.size - 1)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        sup[1:] = dx[:-1]
+        sub[:-1] = dx[1:]
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        diag[0], sup[0] = dx[1], x[2] - x[0]
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        diag[-1], sub[-1] = dx[-2], x[-1] - x[-3]
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        *_, s, info = dgtsv(sub, diag, sup, rhs, True, True, True, True)
+        if info != 0:
+            raise NumericalAccuracyError("singular spline system")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        # one gather per call: the coefficients (the constant one as 0 + c3, the
+        # first term of scipy's sum) and the left node of each piece, then a NaN
+        # piece that the search gives every point outside [x[0], x[-1]] and NaN
+        self._table = np.hstack([np.vstack([self.c[:3], 0.0 + self.c[3], x[:-1]]),
+                                 np.full((5, 1), np.nan)])
+        self._edges = np.concatenate([x[:-1], [np.nextafter(x[-1], np.inf)]])
+
+    def __call__(self, u, nu=0):
+        """The spline (``nu=0``) or its first derivative (``nu=1``) at the points u."""
+        u = np.asarray(u, dtype=float)
+        c0, c1, c2, c3, left = self._table.take(
+            np.searchsorted(self._edges, u, side="right") - 1, axis=1)
+        s = u - left
+        ss = s * s
+        if nu == 0:
+            return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+        if nu == 1:
+            return ((0.0 + c2) + c1 * s * 2.0) + c0 * ss * 3.0
+        raise ValueError("only the spline and its first derivative are evaluated")
 
 
 def _tilted_inverse(model, q, phi, x):
@@ -176,7 +231,7 @@ class ScaleFunction:
         g = np.maximum(g, 0.0)
         xs = np.concatenate([[0.0], nodes])
         gs = np.concatenate([[self.w0], g])
-        self._interp = CubicSpline(xs, gs, extrapolate=False)
+        self._interp = _Spline(xs, gs)
         self._build_exact_antiderivative(xs)
         # interpolation + inversion error probe at off-grid points, restricted
         # to the value-significant region (the deep small-x tail has absolute

@@ -329,8 +329,6 @@ def test_divergent_jump_tail_raises_hypothesis_violation(catalog, scale_cache):
 # overshoot of W as the general identity
 # ---------------------------------------------------------------------------
 
-from levyfluct import quadrature
-
 OSF_CLOSED = ("brownian", "cramer_lundberg", "jump_diffusion")
 
 
@@ -408,7 +406,7 @@ def test_overshoot_of_w_makes_no_scalar_quad_call(catalog, monkeypatch, name):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar QUADPACK call")
 
-    monkeypatch.setattr(quadrature.integrate, "quad", refuse)
+    monkeypatch.setattr("scipy.integrate.quad", refuse)
     value = overshoot_of_scale_function(model, 0.1, 0.05, 0.1, ExitProblem(0.0, 2.0, 0.05, 1.0),
                                         sf_x=sf_x, sf_y=sf_y)
     assert math.isfinite(value)

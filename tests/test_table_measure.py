@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfluct import quadrature
 from levyfluct.models import (LevyTriplet, laplace_exponent, laplace_exponent_derivative,
                               right_inverse_phi, table_jumps)
 from levyfluct.montecarlo import SimScheme, simulate_first_passage
@@ -145,7 +144,7 @@ def test_table_model_makes_no_scalar_quad_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar QUADPACK call")
 
-    monkeypatch.setattr(quadrature.integrate, "quad", refuse)
+    monkeypatch.setattr("scipy.integrate.quad", refuse)
     theta, values = TABLES["cli"]
     model = LevyTriplet(gamma=1.0, sigma=0.0, measure=table_jumps(theta, values))
     phi = right_inverse_phi(model, 0.05)

@@ -196,7 +196,12 @@ class _JumpKit:
         """Sum of jump sizes per path, given per-path Poisson counts."""
         fam = self.measure.family
         if fam == "exponential":
-            return rng.gamma(counts.astype(float), 1.0 / self.rho)
+            # a zero shape draws nothing and gives 0, so drawing only where jumps
+            # happened consumes the stream as one call over every cell does
+            out = np.zeros(counts.size)
+            hit = counts > 0
+            out[hit] = rng.gamma(counts[hit].astype(float), 1.0 / self.rho)
+            return out
         total = int(counts.sum())
         if total == 0:
             return np.zeros(counts.size)

@@ -27,7 +27,11 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   the first of which is the benchmark's ``w_overshoot_abs_err_max`` probe (exact
   value 0), whose reading is printed after the digest;
 * ``golden_eval``: the golden ``eval`` output's bytes, and whether they match
-  ``tests/golden/``.
+  ``tests/golden/``;
+* ``montecarlo`` (printed last): seeded ``simulate_first_passage``,
+  ``simulate_reflected`` and ``simulate_refracted`` samples, with the
+  occupation histograms of the last two, on the four catalog fixtures at a
+  few hundred paths in several batches (``MC_SCHEME``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from levyfluct import cli, generator, identities, models  # noqa: E402
+from levyfluct import cli, generator, identities, models, montecarlo  # noqa: E402
 from levyfluct.scale import ScaleFunction  # noqa: E402
 
 QS = (0.0, 0.05, 0.5)
@@ -208,6 +212,39 @@ def golden_section():
     return f"{hashlib.sha256(text).hexdigest()} {'match' if match else 'DIFFERS'}"
 
 
+# several batches, so that the stream-to-path assignment is part of the hash
+MC_SCHEME = montecarlo.SimScheme(dt=4e-3, seed=11, horizon=4.0, batch_size=128)
+MC_PATHS = 300
+MC_BINS = 16
+# (a, b, q, x): started near a, so that paths leave on both sides
+MC_POINT = (0.0, 2.0, 0.05, 0.6)
+
+
+def sample_arrays(out):
+    """The float arrays of an ``ExitSamples``, or of (samples, ResolventEstimate)."""
+    samples, res = out if isinstance(out, tuple) else (out, None)
+    arrays = [samples.times, samples.sides, samples.positions, samples.creep]
+    if samples.xi_discounted is not None:
+        arrays.append(samples.xi_discounted)
+    if res is not None:
+        arrays += [res.density, res.stderr]
+    return np.concatenate([np.asarray(v, dtype=float) for v in arrays])
+
+
+def montecarlo_section():
+    d = Digest()
+    a, b, q, x = MC_POINT
+    for model in models.canonical_models().values():
+        runs = ((montecarlo.simulate_first_passage, (model, a, b, x, MC_SCHEME, MC_PATHS, q)),
+                (montecarlo.simulate_reflected, (model, b, a, x, MC_SCHEME, MC_PATHS, q,
+                                                 MC_BINS)),
+                (montecarlo.simulate_refracted, (model, 0.1, 1.0, a, b, x, MC_SCHEME, MC_PATHS,
+                                                 q, MC_BINS)))
+        for simulate, args in runs:
+            d.add(lambda: sample_arrays(simulate(*args)))
+    return d.hexdigest()
+
+
 def main():
     sections = {
         "scale[closed_form]": lambda: scale_section("closed_form"),
@@ -218,6 +255,7 @@ def main():
         "overshoot_of_w": overshoot_of_w_section,
         "golden_eval": golden_section,
         "scale[table]": table_section,
+        "montecarlo": montecarlo_section,
     }
     for name, fn in sections.items():
         print(f"{name:26s} {fn()}", flush=True)

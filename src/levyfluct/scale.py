@@ -316,7 +316,7 @@ class ScaleFunction:
         return out.item() if x.ndim == 0 else out
 
     def _derivative(self, x, power, step, offsets, combine):
-        """d^power W / dx^power at x > 0, exact for closed forms.
+        """d^power W / dx^power at x > 0, exact for closed forms; x <= 0 or NaN raises.
 
         The inversion method returns ``combine(h, *W(x + offsets * h))`` with
         h = max(step, step * x), shrunk to x/4 where the stencil would cross 0
@@ -324,6 +324,8 @@ class ScaleFunction:
         """
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x)
+        if not np.all(xs > 0):
+            raise ValueError("derivatives of W^(q) require x > 0")
         if self.method == "closed_form":
             out = self._pf_sum(xs, power=power)
         else:
@@ -379,15 +381,13 @@ class ScaleFunction:
         Closed forms differentiate exactly; the inversion method uses central
         differences with one Richardson refinement.
         """
-        if not np.all(np.asarray(x) > 0):
-            raise ValueError("w_prime requires x > 0")
         return self._derivative(
             x, 1, 1e-6, (1.0, -1.0, 0.5, -0.5),
             lambda h, w_p, w_m, w_ph, w_mh: (4.0 * ((w_ph - w_mh) / h)
                                              - (w_p - w_m) / (2.0 * h)) / 3.0)
 
     def w_second(self, x):
-        """Second derivative; exact for closed forms, differences otherwise."""
+        """Second derivative of W^(q) at x > 0; exact for closed forms, differences otherwise."""
         return self._derivative(x, 2, 1e-5, (1.0, 0.0, -1.0),
                                 lambda h, w_p, w_0, w_m: (w_p - 2.0 * w_0 + w_m) / (h * h))
 

@@ -10,7 +10,7 @@ from levyfluct import (ScaleFunction, invert_laplace,
                        laplace_exponent, right_inverse_phi, transform_roundtrip)
 from levyfluct.models import LevyTriplet, table_jumps
 from levyfluct.quadrature import quad
-from levyfluct.scale import BLOCK_ROWS
+from levyfluct.scale import BLOCK_ROWS, _Spline, _tilted_inverse
 
 # the 40-segment geometric table of test_table_measure.py
 GEO = np.geomspace(0.05, 8.0, 40)
@@ -419,7 +419,8 @@ def test_scale_function_build_memory_stays_flat(catalog, name):
 
 NAN_CASES = ([(name, call, math.nan)
               for name in ("tempered_stable", "jump_diffusion")
-              for call in ("w", "w_exact", "w_antiderivative", "z", "w_prime", "invert_laplace")]
+              for call in ("w", "w_exact", "w_antiderivative", "z", "w_prime", "w_second",
+                           "invert_laplace")]
              + [("tempered_stable", "w", math.inf)])
 
 
@@ -431,6 +432,17 @@ def test_scale_functions_raise_at_nan_and_past_the_inversion(catalog, scale_cach
           else getattr(sf, call))
     with pytest.raises(ValueError):
         fn(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("name", ["tempered_stable", "jump_diffusion"])
+@pytest.mark.parametrize("call", ["w_prime", "w_second"])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_derivatives_of_w_raise_off_the_positive_half_line(catalog, scale_cache, name, call,
+                                                           bad):
+    # W has a kink at 0 and vanishes below, so its derivatives are asked for at x > 0 only
+    # (the closed form's partial-fraction sum would read w_second(-1.0) = -452.25 here)
+    with pytest.raises(ValueError):
+        getattr(scale_cache.get(catalog[name], 0.05), call)(np.array([0.5, bad]))
 
 
 def test_scale_functions_keep_their_limits_at_infinity(catalog, scale_cache):
@@ -456,3 +468,40 @@ def test_w_difference_matches_the_plain_difference(catalog):
                 for y in (1e-14, 1e-10):
                     assert -sf.w_difference(c, y) / y == pytest.approx(
                         sf.w_prime(c), rel=1e-6), (name, q, c, y)
+
+
+# ---------------------------------------------------------------------------
+# the cache's spline against scipy's CubicSpline
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["brownian", "cramer_lundberg", "jump_diffusion",
+                                  "tempered_stable"])
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.5])
+def test_cache_spline_is_bit_equal_to_scipy_cubic_spline(catalog, scale_cache, name, q):
+    from scipy.interpolate import CubicSpline
+
+    model = catalog[name]
+    sf = scale_cache.get(model, q, method="laplace_inversion")
+    # the cache's nodes and values, rebuilt as ScaleFunction builds them
+    xs = sf._interp.x
+    gs = np.concatenate([[sf.w0], np.maximum(_tilted_inverse(model, q, sf.phi, xs[1:]), 0.0)])
+    ours, ref = _Spline(xs, gs), CubicSpline(xs, gs, extrapolate=False)
+    assert np.array_equal(ours.c, sf._interp.c)
+    assert np.array_equal(ours.x, ref.x) and np.array_equal(ours.c, ref.c)
+    rng = np.random.default_rng(5)
+    inside = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:]), rng.uniform(0.0, xs[-1], 4000)])
+    for nu in (0, 1):
+        assert np.array_equal(ours(inside, nu), ref(inside, nu)), nu
+        # the sign of a zero too, and a 2-D argument keeps its shape
+        assert np.array_equal(np.signbit(ours(inside, nu)), np.signbit(ref(inside, nu)))
+        grid = inside[:1200].reshape(100, 12)
+        assert np.array_equal(ours(grid, nu), ref(grid, nu))
+    # the last node uses the last piece; outside the nodes, and NaN, give NaN
+    last = ref.c[:, -1]
+    h = xs[-1] - xs[-2]
+    assert ours(xs[-1:])[0] == ref(xs[-1:])[0] == (((0.0 + last[3]) + last[2] * h)
+                                                   + last[1] * (h * h)) + last[0] * (h * h * h)
+    outside = np.array([-1e-300, -1.0, np.nextafter(xs[-1], np.inf), 2.0 * xs[-1], np.inf,
+                        -np.inf, np.nan])
+    assert np.all(np.isnan(ours(outside))) and np.all(np.isnan(ref(outside)))
+    assert np.all(np.isnan(ours(outside, 1)))

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -477,3 +480,29 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
         run([command, "--spec", spec, flag, "10"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_import_and_golden_eval_leave_heavy_scipy_unloaded(tmp_path):
+    # the package imports only scipy.special and scipy.linalg.lapack; scalar
+    # QUADPACK (scipy.integrate) loads on first use, and the golden eval makes none
+    import levyfluct
+
+    spec = write_spec(tmp_path, "eval.json", {
+        "model": JD_MODEL,
+        "penalty": {"f": "exp(y)", "extension": {"kind": "affine_at_a"}},
+        "a": 0.0, "b": 2.0, "q": 0.05, "x": 1.0, "formula": "general"})
+    out = tmp_path / "out.json"
+    heavy = ["scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.sparse"]
+    code = ("import json, sys\n"
+            "import levyfluct\n"
+            "from levyfluct import cli\n"
+            f"code = cli.main(['eval', '--spec', {spec!r}, '--out', {str(out)!r}])\n"
+            f"print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))\n")
+    src = str(Path(levyfluct.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert out.read_bytes() == (GOLDEN / "eval_jump_diffusion.json").read_bytes()

@@ -243,3 +243,53 @@ def test_mass_between_is_zero_where_hi_is_not_above_lo(measure):
     assert np.array_equal(got == 0.0, hi <= lo)
     expected = [measure.mass_between(u, v) for u, v in zip(lo, hi)]
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Brent root finder against scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+from levyfluct.errors import RootFindingError
+from levyfluct.models import brentq, canonical_models, laplace_exponent
+
+
+def brent_pairs():
+    """(f, lo, hi) brackets: psi - q on every fixture, and random smooth functions."""
+    fixtures = dict(canonical_models(),
+                    pure_drift=LevyTriplet(gamma=0.4, sigma=0.0, measure=no_jumps()))
+    for model in fixtures.values():
+        psi = lambda lam, m=model: laplace_exponent(m, lam)
+        for q in np.concatenate([[0.0, 0.05, 0.5], np.geomspace(1e-6, 100.0, 24)]):
+            for lo, hi in ((0.0, 1.0), (0.0, 64.0), (0.0, 1024.0), (1e-3, 50.0)):
+                if (psi(lo) - q) * (psi(hi) - q) < 0:
+                    yield (lambda lam, p=psi, q=q: p(lam) - q), lo, hi
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        c = rng.normal(size=4)
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+        f = lambda x, c=c: c[0] + c[1] * x + c[2] * x ** 3 + c[3] * math.sin(5.0 * x)
+        if f(lo) * f(hi) < 0:
+            yield f, lo, hi
+
+
+@pytest.mark.parametrize("options", [{}, {"rtol": 1e-14, "maxiter": 200},
+                                     {"xtol": 1e-15, "rtol": 1e-13}])
+def test_brentq_is_bit_equal_to_scipy(options):
+    from scipy import optimize
+
+    count = 0
+    for f, lo, hi in brent_pairs():
+        got, want = brentq(f, lo, hi, **options), optimize.brentq(f, lo, hi, **options)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (lo, hi)
+        count += 1
+    assert count > 300
+
+
+def test_brentq_errors():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+    with pytest.raises(RootFindingError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(RootFindingError, match="converge"):
+        brentq(lambda x: math.sin(5.0 * x) + 0.3 * x, -3.0, 2.0, xtol=1e-15, maxiter=3)
+    assert brentq(lambda x: x, 0.0, 1.0) == 0.0 and brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0

@@ -39,10 +39,11 @@ def quad(f, lo, hi, *, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
          limit=200, panel_tol=PANEL_TOLERANCE):
     """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi] (QUADPACK via scipy).
 
-    scipy.integrate is imported on the first call, so the package's import
-    does not load it.  Returns ``(value, error_estimate)``; an infinite upper limit is supported.
+    Returns ``(value, error_estimate)``; an infinite upper limit is supported.
     An integrand with kinks or jumps inside is best split there beforehand,
     or integrated by ``quad_rows`` with the intervals as one row.
+    scipy.integrate is imported on the first call, so that importing the
+    package does not load it.
     """
     if lo == hi:
         return 0.0, 0.0

@@ -93,11 +93,11 @@ class _Spline:
         sub[:-1] = dx[1:]
         rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-        diag[0], sup[0] = dx[1], x[2] - x[0]
-        d = x[2] - x[0]
+        diag[0] = dx[1]
+        d = sup[0] = x[2] - x[0]
         rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        diag[-1], sub[-1] = dx[-2], x[-1] - x[-3]
-        d = x[-1] - x[-3]
+        diag[-1] = dx[-2]
+        d = sub[-1] = x[-1] - x[-3]
         rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
         *_, s, info = dgtsv(sub, diag, sup, rhs, True, True, True, True)
         if info != 0:

@@ -365,6 +365,39 @@ class LevyTriplet:
         return replace(self, gamma=self.gamma - delta)
 
 
+class _Same:
+    """A key part equal only to itself; holding the object keeps its id from reuse."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and other.obj is self.obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+
+def model_key(model):
+    """A hashable key, equal for models with equal parameters.
+
+    The parameters are gamma, sigma, the measure's family and its ``params``
+    (lists and arrays as tuples), which determine a measure of a named family;
+    ids are not used, since they are reused after garbage collection.  A
+    ``custom`` measure has no parameters that determine it, so it keys on the
+    measure object: two custom measures never share a key.
+    """
+    meas = model.measure
+    if meas.family == "custom":
+        params = _Same(meas)
+    else:
+        params = tuple((k, tuple(v) if isinstance(v, (list, np.ndarray)) else v)
+                       for k, v in sorted(meas.params.items()))
+    return (model.gamma, model.sigma, meas.family, params)
+
+
 def path_variation(model):
     """'bounded' or 'unbounded' according to sigma and small-jump integrability."""
     if model.sigma == 0.0 and model.measure.variation_part == INTEGRABLE:

@@ -85,8 +85,9 @@ class Ingredients:
 class MonteCarloProvider:
     """Estimates every ingredient by simulating the modified process.
 
-    Results are cached per spec; the creeping ingredient is pinned to zero
-    without simulation when sigma = 0 (the process cannot creep).
+    Results are cached per spec, keyed on ``models.model_key`` and the
+    spec's other fields; the creeping ingredient is pinned to zero without
+    simulation when sigma = 0 (the process cannot creep).
     """
 
     def __init__(self, scheme=None, n_paths=50_000, n_bins=200):
@@ -96,15 +97,9 @@ class MonteCarloProvider:
         self._cache = {}
 
     def _key(self, spec):
-        # keyed on the model's parameters, not its id: ids are reused after
-        # garbage collection
-        model = spec.model
-        params = tuple((k, tuple(v) if isinstance(v, (list, np.ndarray)) else v)
-                       for k, v in sorted(model.measure.params.items()))
         vals = tuple(getattr(spec, name) for name in spec.__dataclass_fields__
                      if name != "model")
-        return (type(spec).__name__, model.gamma, model.sigma, model.measure.family,
-                params) + vals
+        return (type(spec).__name__,) + _models.model_key(spec.model) + vals
 
     def _simulated(self, spec, simulate, args, boundary):
         """Ingredients from one cached run of ``simulate(*args, ...)``.

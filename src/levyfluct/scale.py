@@ -14,12 +14,21 @@ Two evaluation methods:
   ``BLOCK_ROWS`` contour points at a time.  The tilted scale function is
   bounded and monotone, which keeps the inversion stable; values are cached
   on a geometric grid and interpolated by a not-a-knot cubic spline.
+
+Builds are memoised for the process: a ``ScaleFunction`` with the same model
+parameters (``models.model_key``: gamma, sigma, the measure's family and
+``params``), q, settled method and ``x_max`` as one of the ``MEMO_ENTRIES``
+(16) most recently built reuses its Phi(q), W(0+), ``tolerance_estimate`` and
+its partial fractions or inversion cache, as read-only arrays, bit for bit.
+A ``custom`` measure, which no parameters determine, keys on the measure
+object itself.  Every instance is its own object and holds its caller's model.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -39,6 +48,13 @@ BLOCK_ROWS = 64
 # Euler's weights binom(m, k) / 2^m; scipy's binomials sum to exactly 2^m
 _EULER_WEIGHTS = binom(INVERSION_PARAMS["m_euler"], np.arange(INVERSION_PARAMS["m_euler"] + 1))
 _EULER_WEIGHTS /= 2.0 ** INVERSION_PARAMS["m_euler"]
+# builds kept for reuse, the least recently used dropped first: an inversion build
+# holds about 200 KB, a closed form a few hundred bytes
+MEMO_ENTRIES = 16
+# what a build computes, by method: all that a ScaleFunction holds besides its inputs
+_BUILT = {"closed_form": ("phi", "w0", "tolerance_estimate", "_roots", "_coeffs"),
+          "laplace_inversion": ("phi", "w0", "tolerance_estimate", "_interp", "_anti_nodes",
+                                "_anti_cum")}
 
 
 def euler_inversion(transform, x):
@@ -111,6 +127,9 @@ class _Spline:
         self._table = np.hstack([np.vstack([self.c[:3], 0.0 + self.c[3], x[:-1]]),
                                  np.full((5, 1), np.nan)])
         self._edges = np.concatenate([x[:-1], [np.nextafter(x[-1], np.inf)]])
+        # read-only, since a scale-function build shares its spline
+        for arr in (self.x, self.c, self._table, self._edges):
+            arr.flags.writeable = False
 
     def __call__(self, u, nu=0):
         """The spline (``nu=0``) or its first derivative (``nu=1``) at the points u."""
@@ -126,6 +145,32 @@ class _Spline:
         raise ValueError("only the spline and its first derivative are evaluated")
 
 
+class _Memo:
+    """A thread-safe map from build keys to builds that keeps the ``MEMO_ENTRIES``
+    most recently used."""
+
+    def __init__(self):
+        self._items = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            built = self._items.get(key)
+            if built is not None:
+                self._items.move_to_end(key)
+            return built
+
+    def put(self, key, built):
+        with self._lock:
+            self._items[key] = built
+            self._items.move_to_end(key)
+            while len(self._items) > MEMO_ENTRIES:
+                self._items.popitem(last=False)
+
+
+_BUILDS = _Memo()
+
+
 def _tilted_inverse(model, q, phi, x):
     """e^{-Phi(q) x} W^(q)(x) at x > 0: the inverse of 1/(psi(s + Phi(q)) - q)."""
     return euler_inversion(lambda s: 1.0 / (_models.laplace_exponent(model, s + phi) - q), x)
@@ -139,39 +184,58 @@ def _direct_w(model, q, phi, x):
 class ScaleFunction:
     """Evaluator bundle for W^(q), its derivative and Z^(q) for one (model, q).
 
-    Immutable after construction (the inversion cache is filled eagerly), so
-    instances can be shared across threads.  The method is settled here:
+    Immutable after construction (the inversion cache is filled eagerly, or
+    taken from the build memo), so instances can be shared across threads.
+    ``q`` must be finite and nonnegative and ``x_max`` finite and positive
+    (``ModelError`` otherwise, before any work).  The method is settled here:
     ``_w_kernel``, ``_exact_kernel`` and ``_anti_kernel`` evaluate W, W
     without the cache, and int_0^x W at points x > 0.
     """
 
     def __init__(self, model, q, method="auto", x_max=10.0):
-        if q < 0:
-            raise ModelError("q must be nonnegative")
-        self.model = model
-        self.q = float(q)
+        q, x_max = float(q), float(x_max)
+        if not 0.0 <= q < math.inf:
+            raise ModelError("q must be finite and nonnegative")
+        if not 0.0 < x_max < math.inf:
+            raise ModelError("x_max must be finite and positive")
         if method == "auto":
             method = ("closed_form" if model.measure.family in _CLOSED_FORM_FAMILIES
                       else "laplace_inversion")
-        self.method = method
-        self.phi = _models.right_inverse_phi(model, q)
-        self.x_max = float(x_max)
+        if method not in _BUILT:
+            raise ModelError(f"unknown scale-function method {method!r}")
+        self.model, self.q, self.method, self.x_max = model, q, method, x_max
         self.inversion_params = dict(INVERSION_PARAMS, grid_nodes=GRID_NODES)
+
+        if method == "closed_form":
+            self._w_kernel = self._exact_kernel = self._pf_sum
+            self._anti_kernel = self._pf_antiderivative
+        else:
+            self._exact_kernel = self._inverted_w
+            self._w_kernel = self._cached_w
+            self._anti_kernel = self._cached_antiderivative
+        key = _models.model_key(model) + (q, method, x_max)
+        built = _BUILDS.get(key)
+        if built is None:
+            built = self._build()
+            _BUILDS.put(key, built)
+        vars(self).update(built)
+
+    def _build(self):
+        """The attributes ``_BUILT`` names for this method, computed, arrays read-only."""
+        model = self.model
+        self.phi = _models.right_inverse_phi(model, self.q)
         bounded = _models.path_variation(model) == "bounded"
         self.w0 = 1.0 / model.natural_drift if bounded else 0.0
-
         if self.method == "closed_form":
             self._build_partial_fractions()
             self.tolerance_estimate = 1e-13
-            self._w_kernel = self._exact_kernel = self._pf_sum
-            self._anti_kernel = self._pf_antiderivative
-        elif self.method == "laplace_inversion":
-            self._exact_kernel = functools.partial(_direct_w, model, self.q, self.phi)
-            self._build_inversion_cache()
-            self._w_kernel = self._cached_w
-            self._anti_kernel = self._cached_antiderivative
         else:
-            raise ModelError(f"unknown scale-function method {method!r}")
+            self._build_inversion_cache()
+        built = {name: getattr(self, name) for name in _BUILT[self.method]}
+        for value in built.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return built
 
     # -- closed form ---------------------------------------------------------
 
@@ -243,6 +307,10 @@ class ScaleFunction:
         rel = (np.abs(self._interp(probe[keep]) - direct[keep])
                / np.abs(direct[keep]))
         self.tolerance_estimate = float(np.max(rel)) + 1e-10
+
+    def _inverted_w(self, x):
+        """W at the points x > 0 by direct inversion, without the cache."""
+        return _direct_w(self.model, self.q, self.phi, x)
 
     def _cached_w(self, x):
         """W at x > 0 from the cache, inverted directly below its first node and

@@ -381,6 +381,16 @@ def test_eval_nan_q_is_spec_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf")])
+def test_scale_nonfinite_q_is_spec_error(tmp_path, capsys, q):
+    spec = write_spec(tmp_path, "scale.json", {
+        "model": dict(JD_MODEL, measure={"family": "tempered_stable", "c": 0.08,
+                                         "alpha": 1.5, "rho": 1.0}),
+        "q": q, "grid": {"start": 0.1, "stop": 3.0, "n": 5}})
+    assert run(["scale", "--spec", spec]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # spec errors name their field: exit 2, nothing on stdout
 
 def spec_with(**fields):

@@ -11,6 +11,7 @@ from levyfluct import (ConditionNotMetError, ExitProblem, ExtensionRecipe,
                        overshoot_functional_general, overshoot_functional_simple,
                        overshoot_of_scale_function, overshoot_zero_extension,
                        resolvent_density, two_sided_exit_up)
+from levyfluct import scale
 from levyfluct.quadrature import quad
 
 ONE = lambda y: 1.0
@@ -509,3 +510,22 @@ def test_tempered_general_identity_takes_at_most_four_generator_calls(catalog, m
     value = overshoot_functional_general(penalty, sf, ExitProblem(A, B, 0.05, x))
     assert 1 <= len(calls) <= 4
     assert math.isfinite(value.value) and value.accuracy <= 1e-9
+
+
+def test_repeated_overshoot_of_w_reuses_its_scale_function_builds(catalog, monkeypatch):
+    # without sf_x and sf_y the first call builds both (no other test builds for b = 2.2),
+    # the second inverts no cache grid and returns the same float
+    args = (catalog["tempered_stable"], 0.1, 0.05, 0.1, ExitProblem(0.0, 2.2, 0.05, 1.0))
+    sizes = []
+    invert = scale._tilted_inverse
+
+    def counted(model, q, phi, x):
+        sizes.append(np.size(x))
+        return invert(model, q, phi, x)
+
+    monkeypatch.setattr(scale, "_tilted_inverse", counted)
+    first = overshoot_of_scale_function(*args)
+    assert sizes.count(scale.GRID_NODES) == 2
+    sizes.clear()
+    assert overshoot_of_scale_function(*args) == first
+    assert scale.GRID_NODES not in sizes

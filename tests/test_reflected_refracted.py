@@ -1,6 +1,7 @@
 """Reflected/refracted overshoot identities and ingredient providers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,12 @@ def test_provider_cache_keys_on_model_parameters():
                dict(measure=exponential_jumps(0.8, 1.51)), dict(measure=no_jumps())):
         assert provider.reflected(spec(**kw)) is not first
     assert len(provider._cache) == 6
+    # a custom measure keys on its object (the simulator has no sampler for one, so
+    # the key is read directly): equal gamma and sigma never share an entry
+    one, other = (replace(exponential_jumps(0.8, 1.5), family="custom", params={})
+                  for _ in range(2))
+    assert provider._key(spec(measure=one)) == provider._key(spec(measure=one))
+    assert provider._key(spec(measure=one)) != provider._key(spec(measure=other))
 
 
 def test_refracted_spec_rejects_negative_rate(catalog):

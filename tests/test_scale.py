@@ -1,14 +1,18 @@
 """Scale functions: closed forms, Laplace inversion, transforms, Z."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levyfluct import (ScaleFunction, invert_laplace,
+from levyfluct import (ModelError, ScaleFunction, invert_laplace,
                        laplace_exponent, right_inverse_phi, transform_roundtrip)
-from levyfluct.models import LevyTriplet, table_jumps
+from levyfluct import scale
+from levyfluct.models import LevyTriplet, exponential_jumps, no_jumps, table_jumps
 from levyfluct.quadrature import quad
 from levyfluct.scale import BLOCK_ROWS, _Spline, _tilted_inverse
 
@@ -406,8 +410,10 @@ def test_inversion_is_bit_identical_across_blocks(catalog, name):
 
 
 @pytest.mark.parametrize("name", ["tempered_stable", "geometric_table"])
-def test_scale_function_build_memory_stays_flat(catalog, name):
+def test_scale_function_build_memory_stays_flat(catalog, monkeypatch, name):
     model = GEO_TABLE if name == "geometric_table" else catalog[name]
+    # an empty memo, so that the build measured is a cold one
+    monkeypatch.setattr(scale, "_BUILDS", scale._Memo())
     tracemalloc.start()
     try:
         ScaleFunction(model, 0.05)
@@ -499,3 +505,123 @@ def test_cache_spline_is_bit_equal_to_scipy_cubic_spline(catalog, scale_cache, n
                         -np.inf, np.nan])
     assert np.all(np.isnan(ours(outside))) and np.all(np.isnan(ref(outside)))
     assert np.all(np.isnan(ours(outside, 1)))
+
+
+# -- the build memo --------------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty build memo, and the list of the builds it did not serve."""
+    made = []
+    build = ScaleFunction._build
+
+    def counted(self):
+        made.append((self.model, self.q, self.method, self.x_max))
+        return build(self)
+
+    monkeypatch.setattr(scale, "_BUILDS", scale._Memo())
+    monkeypatch.setattr(ScaleFunction, "_build", counted)
+    return made
+
+
+@pytest.mark.parametrize("method", ["closed_form", "laplace_inversion"])
+@pytest.mark.parametrize("q, x_max", [(math.nan, 10.0), (math.inf, 10.0), (-0.1, 10.0),
+                                      (0.05, math.nan), (0.05, -1.0), (0.05, 0.0),
+                                      (0.05, math.inf)])
+def test_build_rejects_a_bad_rate_or_range_before_any_work(catalog, builds, method, q, x_max):
+    with pytest.raises(ModelError):
+        ScaleFunction(catalog["jump_diffusion"], q, method=method, x_max=x_max)
+    assert builds == []
+
+
+def custom_measure(intensity, decay):
+    """The exponential family's integrals as a ``custom`` measure: no parameters key it."""
+    return replace(exponential_jumps(intensity, decay), family="custom", params={})
+
+
+def test_every_build_input_keys_its_own_build(builds):
+    def model(gamma=0.3, sigma=0.6, measure=None):
+        return LevyTriplet(gamma=gamma, sigma=sigma,
+                           measure=measure if measure is not None else exponential_jumps(0.8, 1.5))
+
+    first = ScaleFunction(model(), 0.05)
+    # equal parameters in distinct objects share the build, and each instance keeps its model
+    again_model = model()
+    again = ScaleFunction(again_model, 0.05)
+    assert len(builds) == 1 and again is not first and again.model is again_model
+    assert again._roots is first._roots
+    variants = [(model(gamma=0.31), 0.05, {}), (model(sigma=0.61), 0.05, {}),
+                (model(measure=exponential_jumps(0.81, 1.5)), 0.05, {}),
+                (model(measure=exponential_jumps(0.8, 1.51)), 0.05, {}),
+                (model(measure=no_jumps()), 0.05, {}), (model(), 0.06, {}),
+                (model(), 0.05, dict(x_max=9.0)), (model(), 0.05, dict(method="laplace_inversion"))]
+    for m, q, kw in variants:
+        ScaleFunction(m, q, **kw)
+    assert len(builds) == 1 + len(variants)
+    # "auto" settles to the method it names, so it shares that method's build
+    ScaleFunction(model(), 0.05, method="closed_form")
+    assert len(builds) == 1 + len(variants)
+    # custom measures with equal gamma and sigma never share; one measure object does
+    one, other = custom_measure(0.8, 1.5), custom_measure(0.8, 1.5)
+    sf_one = ScaleFunction(model(measure=one), 0.05)
+    sf_other = ScaleFunction(model(measure=other), 0.05)
+    assert len(builds) == 3 + len(variants)
+    ScaleFunction(model(measure=one), 0.05)
+    assert len(builds) == 3 + len(variants)
+    assert sf_one._interp is not sf_other._interp
+
+
+@pytest.mark.parametrize("name, method", [("jump_diffusion", "closed_form"),
+                                          ("tempered_stable", "laplace_inversion"),
+                                          ("cramer_lundberg", "laplace_inversion")])
+def test_memo_hit_is_bit_equal_to_a_cold_build(catalog, monkeypatch, builds, name, method):
+    model = catalog[name]
+    cold = ScaleFunction(model, 0.05, method=method)
+    hit = ScaleFunction(model, 0.05, method=method)
+    assert len(builds) == 1 and hit is not cold
+    monkeypatch.setattr(scale, "_BUILDS", scale._Memo())
+    rebuilt = ScaleFunction(model, 0.05, method=method)
+    assert len(builds) == 2
+    xs = np.array([0.0, 1e-7, 3e-5, 0.05, 0.3, 1.0, 2.5, 9.9, 10.0, 11.5])
+    for attr in scale._BUILT[method]:
+        assert getattr(hit, attr) is getattr(cold, attr)
+    for call in ("w", "w_exact", "w_antiderivative", "z", "w_prime", "w_second"):
+        assert np.array_equal(getattr(hit, call)(xs[1:]), getattr(rebuilt, call)(xs[1:])), call
+    assert np.array_equal(hit.w_difference(1.3, xs[:6]), rebuilt.w_difference(1.3, xs[:6]))
+    assert ([hit.phi, hit.w0, hit.tolerance_estimate]
+            == [rebuilt.phi, rebuilt.w0, rebuilt.tolerance_estimate])
+    # what the instances share cannot be written through any of them
+    arrays = ([hit._roots, hit._coeffs] if method == "closed_form"
+              else [hit._anti_nodes, hit._anti_cum, hit._interp.c, hit._interp.x])
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_memo_keeps_the_most_recent_builds(catalog, monkeypatch, builds):
+    monkeypatch.setattr(scale, "MEMO_ENTRIES", 2)
+    model = catalog["jump_diffusion"]
+    for q in (0.1, 0.2, 0.1, 0.3, 0.1, 0.2):
+        ScaleFunction(model, q)
+    # 0.1 stays as the most recently used; 0.2 is dropped when 0.3 comes in
+    assert [q for _, q, _, _ in builds] == [0.1, 0.2, 0.3, 0.2]
+
+
+def test_memo_serves_concurrent_builds(catalog, monkeypatch, builds):
+    # more threads than cores and a short switch interval, over more keys than entries
+    monkeypatch.setattr(scale, "MEMO_ENTRIES", 3)
+    model = catalog["cramer_lundberg"]
+    qs = [0.01 * (k % 7) for k in range(56)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = list(pool.map(lambda q: ScaleFunction(model, q).w(np.array([0.5, 2.0])),
+                                   qs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(scale._BUILDS._items) <= 3
+    monkeypatch.setattr(scale, "_BUILDS", scale._Memo())
+    for q, value in zip(qs, values):
+        assert np.array_equal(value, ScaleFunction(model, q).w(np.array([0.5, 2.0])))

@@ -28,10 +28,14 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   value 0), whose reading is printed after the digest;
 * ``golden_eval``: the golden ``eval`` output's bytes, and whether they match
   ``tests/golden/``;
-* ``montecarlo`` (printed last): seeded ``simulate_first_passage``,
+* ``montecarlo``: seeded ``simulate_first_passage``,
   ``simulate_reflected`` and ``simulate_refracted`` samples, with the
   occupation histograms of the last two, on the four catalog fixtures at a
-  few hundred paths in several batches (``MC_SCHEME``).
+  few hundred paths in several batches (``MC_SCHEME``);
+* ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``
+  and ``overshoot_of_w`` run again right after their first run, with every
+  ``ScaleFunction`` build refused, so each is served by the build memo; it
+  says whether each digest equals the first.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -245,6 +250,20 @@ def montecarlo_section():
     return d.hexdigest()
 
 
+def memo_hits(section):
+    """``section()`` with every ``ScaleFunction`` build refused: a build that the
+    memo does not serve raises, and its type enters the digest."""
+    def refuse(self):
+        raise RuntimeError("a build the memo did not serve")
+
+    with mock.patch.object(ScaleFunction, "_build", refuse):
+        return section()
+
+
+# sections run again from the memo; all of their builds fit in it
+REPLAYED = ("scale[laplace_inversion]", "overshoot_of_w")
+
+
 def main():
     sections = {
         "scale[closed_form]": lambda: scale_section("closed_form"),
@@ -257,8 +276,14 @@ def main():
         "scale[table]": table_section,
         "montecarlo": montecarlo_section,
     }
+    equal = {}
     for name, fn in sections.items():
-        print(f"{name:26s} {fn()}", flush=True)
+        digest = fn()
+        print(f"{name:26s} {digest}", flush=True)
+        if name in REPLAYED:
+            equal[name] = memo_hits(fn) == digest
+    print(f"{'memo_hits':26s} " + ", ".join(
+        f"{name} {'equal' if same else 'DIFFERS'}" for name, same in equal.items()))
 
 
 if __name__ == "__main__":

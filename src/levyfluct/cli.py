@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -191,11 +192,14 @@ def cmd_scale(args):
     model = model_from_dict(_require(spec, "model"))
     q = float(_require(spec, "q"))
     grid = _require(spec, "grid")
-    xs = np.linspace(float(_require(grid, "start", "grid")),
-                     float(_require(grid, "stop", "grid")),
-                     int(_require(grid, "n", "grid")))
-    if xs.size == 0:
-        raise SpecError("grid needs n >= 1 points", field="grid")
+    fields = {key: _require(grid, key, "grid") for key in ("start", "stop", "n")}
+    for key, val in fields.items():
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if key == "n" and not (number and float(val).is_integer() and val >= 1):
+            raise SpecError(f"must be a positive integer, got {val!r}", field="grid.n")
+        if not (number and math.isfinite(val)):
+            raise SpecError(f"must be a finite number, got {val!r}", field=f"grid.{key}")
+    xs = np.linspace(float(fields["start"]), float(fields["stop"]), int(fields["n"]))
     if np.any(xs <= 0):
         raise SpecError("grid points must be positive", field="grid")
     sf = ScaleFunction(model, q, x_max=float(xs[-1]) + 1.0)

@@ -82,6 +82,8 @@ class ExtendedPenalty:
     # optional exact form of f~(x-th) - f~(x) + f~'(x) th for x-th still above a;
     # kills catastrophic cancellation against singular jump densities
     compensated_diff: Optional[Callable] = None
+    # check_membership's reports, one per models.model_key; a replaced copy starts empty
+    _reports: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def h(self, y):
         y = np.asarray(y, dtype=float)
@@ -217,7 +219,7 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
 # membership checking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CheckItem:
     name: str
     passed: bool
@@ -225,9 +227,9 @@ class CheckItem:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MembershipReport:
-    items: list = field(default_factory=list)
+    items: tuple = ()
     corollary_condition: Optional[int] = None
     lemma_integrability: bool = False
     membership_unverified: bool = False
@@ -257,21 +259,33 @@ def check_membership(penalty, model):
     exactly from black-box callables.  The report records the evidence, which
     Corollary simplification condition (if any) holds, and whether the
     integrability lemma applies so the resolvent integral may be split.
+
+    The spot checks depend only on the penalty and the model's parameters, so
+    the report is computed once per ``models.model_key`` and kept on the
+    penalty; later calls with an equal model return the same (frozen) report.
     """
+    key = _models.model_key(model)
+    rep = penalty._reports.get(key)
+    if rep is None:
+        rep = penalty._reports.setdefault(key, _membership_report(penalty, model))
+    return rep
+
+
+def _membership_report(penalty, model):
     a, b = penalty.a, penalty.b
-    rep = MembershipReport()
+    items = []
     ys = np.linspace(a, b, MEMBERSHIP_GRID + 1)[1:]
     vals = np.asarray(penalty.f_tilde(ys), dtype=float)
-    rep.items.append(CheckItem("locally_bounded", bool(np.all(np.isfinite(vals))),
-                               float(np.max(np.abs(vals))),
-                               f"sup |f~| on grid = {np.max(np.abs(vals)):.4g}"))
+    items.append(CheckItem("locally_bounded", bool(np.all(np.isfinite(vals))),
+                           float(np.max(np.abs(vals))),
+                           f"sup |f~| on grid = {np.max(np.abs(vals)):.4g}"))
     delta = (b - a) * 1e-7
     probe = ys[:-1]
     jumps = np.abs(penalty.f_tilde(probe + delta) - penalty.f_tilde(probe))
     jump_tol = max(MEMBERSHIP_TOL, 10.0 * (1.0 + penalty.deriv_bound) * delta)
-    rep.items.append(CheckItem("continuous_on_ab", bool(np.max(jumps) <= jump_tol),
-                               float(np.max(jumps)),
-                               f"max grid jump {np.max(jumps):.3g} (tol {jump_tol:.3g})"))
+    items.append(CheckItem("continuous_on_ab", bool(np.max(jumps) <= jump_tol),
+                           float(np.max(jumps)),
+                           f"max grid jump {np.max(jumps):.3g} (tol {jump_tol:.3g})"))
 
     # int_lam^inf f(x - t) Pi(dt) at every start x, one row each
     lam = TAIL_FACTOR * (b - a)
@@ -286,37 +300,39 @@ def check_membership(penalty, model):
     finite = np.isfinite(tails)
     check_rows(tails[finite], errs[finite])
     tail_ok = bool(np.all(finite) and np.max(np.abs(tails)) < _LARGE)
-    rep.items.append(CheckItem("tail_integral_bounded", tail_ok,
-                               float(np.max(np.abs(tails))),
-                               f"sup_x |int_lam f(x-th) Pi(dth)| = {np.max(np.abs(tails)):.4g} at lam={lam:g}"))
+    items.append(CheckItem("tail_integral_bounded", tail_ok,
+                           float(np.max(np.abs(tails))),
+                           f"sup_x |int_lam f(x-th) Pi(dth)| = {np.max(np.abs(tails)):.4g} at lam={lam:g}"))
 
     unbounded = _models.path_variation(model) == "unbounded"
     if unbounded:
         sb = penalty.second_bound
-        rep.items.append(CheckItem("second_derivative_bounded",
-                                   bool(math.isfinite(sb) and sb < _LARGE), sb,
-                                   f"sup |h''| on grid = {sb:.4g}"))
+        items.append(CheckItem("second_derivative_bounded",
+                               bool(math.isfinite(sb) and sb < _LARGE), sb,
+                               f"sup |h''| on grid = {sb:.4g}"))
     else:
         dgrid = np.asarray(penalty.f_tilde_left_deriv(ys[:-1]), dtype=float)
         tv = float(np.sum(np.abs(np.diff(dgrid))))
         ok = bool(np.all(np.isfinite(dgrid)) and np.max(np.abs(dgrid)) < _LARGE and tv < _LARGE)
-        rep.items.append(CheckItem("left_derivative_bv", ok, tv,
-                                   f"sup |h'| = {np.max(np.abs(dgrid)):.4g}, TV estimate {tv:.4g}"))
+        items.append(CheckItem("left_derivative_bv", ok, tv,
+                               f"sup |h'| = {np.max(np.abs(dgrid)):.4g}, TV estimate {tv:.4g}"))
 
     integrable = model.measure.variation_part == _models.INTEGRABLE
+    condition = None
     if integrable and model.sigma == 0.0:
-        rep.corollary_condition = 1
+        condition = 1
     elif integrable and penalty.continuous_at_a:
-        rep.corollary_condition = 2
+        condition = 2
     elif (not integrable) and penalty.smooth_junction:
-        rep.corollary_condition = 3
-    rep.lemma_integrability = bool(integrable or penalty.smooth_junction)
-
-    if (penalty.recipe == "scale_function" and unbounded and model.sigma == 0.0):
-        # smoothness theory does not settle this case: the general and simple
-        # identities refuse it (overshoot_of_scale_function covers W^(q) itself)
-        rep.membership_unverified = True
-    return rep
+        condition = 3
+    # smoothness theory does not settle the scale_function case without a
+    # Gaussian part at unbounded variation: the general and simple identities
+    # refuse it (overshoot_of_scale_function covers W^(q) itself)
+    return MembershipReport(
+        items=tuple(items), corollary_condition=condition,
+        lemma_integrability=bool(integrable or penalty.smooth_junction),
+        membership_unverified=(penalty.recipe == "scale_function" and unbounded
+                               and model.sigma == 0.0))
 
 
 # ---------------------------------------------------------------------------

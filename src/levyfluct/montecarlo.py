@@ -11,7 +11,8 @@ Paths are stepped in time blocks.  Each block draws k steps of variates for
 the m paths still alive, k = max(1, CELLS // m), so every block holds about
 CELLS path-steps whatever the alive count.  Positions are a running sum
 along each path of the interleaved increments, in the per-step order: one
-cumsum, or a row at a time for the state-dependent refracted drift.  The
+cumsum, repeated for the state-dependent refracted drift until the steps it
+takes to start above the refraction level stop changing.  The
 reflection regulator is a running maximum and each path's first exit an
 argmax over the block.  Paths with no exit carry their last position into
 the next block.
@@ -379,13 +380,21 @@ class _Kernel:
         if self.refract_level is None:
             np.cumsum(path, axis=0, out=path)
         else:
-            # the refracted drift (drift0 - delta 1{x > c}) dt needs each
-            # step's start position, so add a row at a time
-            above = (self.drift0 - self.delta) * dt
-            for r in range(1, path.shape[0]):
-                if (r - 1) % n == 0:
-                    path[r] = np.where(path[r - 1] > self.refract_level, above, path[r])
-                np.add(path[r - 1], path[r], out=path[r])
+            # the refracted drift (drift0 - delta 1{x > c}) dt needs each step's
+            # start: guess which steps start above c, sum, and repeat until the
+            # guess reproduces itself.  Each pass fixes one more step at least,
+            # so this ends within k + 1 passes; cumsum adds in row order, so
+            # the fixed point is the row-by-row recursion to the bit.
+            c, inc = self.refract_level, path.copy()
+            above, below = (self.drift0 - self.delta) * dt, self.drift0 * dt
+            starts_above = np.broadcast_to(x > c, (k, m))
+            while True:
+                inc[1::n] = np.where(starts_above, above, below)
+                np.cumsum(inc, axis=0, out=path)
+                again = path[:-1:n] > c
+                if np.array_equal(again, starts_above):
+                    break
+                starts_above = again
         ends = path[::n]
         pre = path[n - 1::n] if blk.jumps is not None else ends[1:]
         return ends[:-1], pre, ends[1:]

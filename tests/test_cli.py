@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,14 @@ def jd_measure(**measure):
     ("eval", spec_with(formula="bogus"), "formula"),
     ("scale", {"model": JD_MODEL, "q": 0.05, "grid": {"start": 0.0, "stop": 1.0, "n": 3}},
      "grid"),
+    ("scale", {"model": JD_MODEL, "q": 0.05,
+               "grid": {"start": 0.1, "stop": float("inf"), "n": 3}}, "grid.stop"),
+    ("scale", {"model": JD_MODEL, "q": 0.05,
+               "grid": {"start": float("nan"), "stop": 1.0, "n": 3}}, "grid.start"),
+    ("scale", {"model": JD_MODEL, "q": 0.05, "grid": {"start": 0.1, "stop": 1.0, "n": 2.7}},
+     "grid.n"),
+    ("scale", {"model": JD_MODEL, "q": 0.05, "grid": {"start": 0.1, "stop": 1.0, "n": -1}},
+     "grid.n"),
     ("eval-reflected", spec_with(provider="bogus"), "provider"),
     ("eval", spec_with(penalty={"f": "exp("}), "expr"),
     ("eval", spec_with(penalty={"f": "max(y, 1, k=2)"}), "expr"),
@@ -417,14 +426,18 @@ def jd_measure(**measure):
     ("eval", spec_with(model=jd_measure(intensity=0.8, decay=1.5)), "measure.family"),
     ("eval", spec_with(model=jd_measure(family="exponential", intensity=-1, decay=1.5)),
      "measure[exponential]"),
-], ids=["missing-a", "f-number", "formula", "grid-at-0", "provider", "expr-unclosed",
-        "expr-keyword", "expr-w-arity", "model-list", "no-family", "negative-intensity"])
+], ids=["missing-a", "f-number", "formula", "grid-at-0", "grid-stop-inf", "grid-start-nan",
+        "grid-n-fraction", "grid-n-negative", "provider", "expr-unclosed", "expr-keyword",
+        "expr-w-arity", "model-list", "no-family", "negative-intensity"])
 def test_spec_error_names_its_field(tmp_path, capsys, command, spec, field):
     path = write_spec(tmp_path, "spec.json", spec)
-    assert run([command, "--spec", path]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--spec", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"spec error: {field}: " in captured.err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_python_m_levyfluct_runs_the_cli():

@@ -1,12 +1,14 @@
 """Penalty extensions, membership checks, and the compensated generator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from levyfluct import (ExtensionRecipe, ModelError, apply_generator,
-                       check_membership, extend_penalty, laplace_exponent)
+from levyfluct import (ExtensionRecipe, LevyTriplet, ModelError, apply_generator,
+                       check_membership, exponential_jumps, extend_penalty, generator,
+                       jump_diffusion, laplace_exponent)
 from levyfluct.quadrature import quad
 
 ONE = lambda y: 1.0
@@ -155,6 +157,81 @@ def test_membership_corollary_conditions(catalog):
     gap = lambda y: max(0.0, A - y)
     p_gap_zero = extend_penalty(gap, A, B, "zero")
     assert check_membership(p_gap_zero, catalog["tempered_stable"]).corollary_condition == 3
+
+
+# one report per penalty and model parameters
+
+def test_second_membership_check_evaluates_nothing(catalog, monkeypatch):
+    calls = {"f": 0, "f_tilde": 0, "quad_rows": 0}
+
+    def f(y):
+        calls["f"] += 1
+        return np.exp(y)
+
+    def f_tilde(y):
+        calls["f_tilde"] += 1
+        return np.exp(y)
+
+    def counting_quad_rows(*args, _quad_rows=generator.quad_rows, **kwargs):
+        calls["quad_rows"] += 1
+        return _quad_rows(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "quad_rows", counting_quad_rows)
+    p = extend_penalty(f, A, B, ExtensionRecipe(kind="custom", f_tilde=f_tilde))
+    model = catalog["jump_diffusion"]
+    first = check_membership(p, model)
+    assert calls["quad_rows"] == 1 and calls["f"] > 0 and calls["f_tilde"] > 0
+    calls.update(f=0, f_tilde=0, quad_rows=0)
+    assert check_membership(p, model) is first
+    assert calls == {"f": 0, "f_tilde": 0, "quad_rows": 0}
+
+
+def test_membership_reports_are_keyed_on_model_parameters(catalog):
+    p = extend_penalty(ONE, A, B, "constant_one")
+    model = jump_diffusion()
+    rep = check_membership(p, model)
+    # equal parameters in distinct objects share the report
+    assert check_membership(p, jump_diffusion()) is rep
+    assert check_membership(p, catalog["jump_diffusion"]) is rep
+    others = [jump_diffusion(rate=0.4), jump_diffusion(sigma=0.5),
+              jump_diffusion(decay=1.6), catalog["cramer_lundberg"]]
+    reps = [check_membership(p, other) for other in others]
+    assert all(r is not rep for r in reps)
+    assert len({id(r) for r in reps}) == len(reps)
+    # a custom measure has no parameters that determine it: two never share
+    custom = [LevyTriplet(0.3, 0.6, dataclasses.replace(exponential_jumps(0.8, 1.5),
+                                                        family="custom", params={}))
+              for _ in range(2)]
+    one, other = (check_membership(p, m) for m in custom)
+    assert one is not other
+    assert check_membership(p, custom[0]) is one
+
+
+def test_replaced_penalty_starts_with_no_reports(catalog, monkeypatch):
+    built = []
+
+    def counting(penalty, model, _build=generator._membership_report):
+        built.append(penalty)
+        return _build(penalty, model)
+
+    monkeypatch.setattr(generator, "_membership_report", counting)
+    model = catalog["cramer_lundberg"]
+    p = extend_penalty(ONE, A, B, "constant_one")
+    rep = check_membership(p, model)
+    copy = dataclasses.replace(p, kinks=(1.0,))
+    again = check_membership(copy, model)
+    assert built == [p, copy]
+    assert again is not rep and again == rep
+    assert check_membership(p, model) is rep and len(built) == 2
+
+
+def test_membership_report_is_frozen(catalog):
+    rep = check_membership(extend_penalty(ONE, A, B, "zero"), catalog["brownian"])
+    assert isinstance(rep.items, tuple) and rep.items
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.corollary_condition = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.items[0].passed = False
 
 
 def test_lemma_integrability_numeric(catalog):

@@ -11,7 +11,7 @@ from levyfluct import (ConditionNotMetError, ExitProblem, ExtensionRecipe,
                        overshoot_functional_general, overshoot_functional_simple,
                        overshoot_of_scale_function, overshoot_zero_extension,
                        resolvent_density, two_sided_exit_up)
-from levyfluct import scale
+from levyfluct import generator, scale
 from levyfluct.quadrature import quad
 
 ONE = lambda y: 1.0
@@ -529,3 +529,20 @@ def test_repeated_overshoot_of_w_reuses_its_scale_function_builds(catalog, monke
     sizes.clear()
     assert overshoot_of_scale_function(*args) == first
     assert scale.GRID_NODES not in sizes
+
+
+def test_general_identity_checks_membership_once_across_starts(catalog, scale_cache,
+                                                               monkeypatch):
+    built = []
+
+    def counting(penalty, model, _build=generator._membership_report):
+        built.append(model)
+        return _build(penalty, model)
+
+    monkeypatch.setattr(generator, "_membership_report", counting)
+    model = catalog["cramer_lundberg"]
+    sf = scale_cache.get(model, 0.05)
+    p = extend_penalty(np.exp, A, B, "constant_one")
+    for x in (0.5, 1.0, 1.5):
+        overshoot_functional_general(p, sf, ExitProblem(A, B, 0.05, x))
+    assert built == [model]

@@ -32,18 +32,25 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   ``simulate_reflected`` and ``simulate_refracted`` samples, with the
   occupation histograms of the last two, on the four catalog fixtures at a
   few hundred paths in several batches (``MC_SCHEME``);
-* ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``
-  and ``overshoot_of_w`` run again right after their first run, with every
-  ``ScaleFunction`` build refused, so each is served by the build memo; it
+* ``membership`` (printed after ``montecarlo``): every ``CheckItem`` value and
+  outcome, the Corollary condition, the lemma flag and the unverified flag of
+  ``check_membership`` for the ``sweep_probe`` section's three extensions of
+  f = 1 on the four catalog fixtures;
+* ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
+  ``overshoot_of_w`` and ``membership`` run again right after their first
+  run, with every ``ScaleFunction`` build and every membership report refused,
+  so each is served by the build memo or by the reports its penalties keep; it
   says whether each digest equals the first.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -59,8 +66,8 @@ from levyfluct.scale import ScaleFunction  # noqa: E402
 QS = (0.0, 0.05, 0.5)
 GRID = np.array([-1.0, 0.0, 1e-7, 3e-5, 1e-3, 0.05, 0.3, 1.0, 1.7, 3.2, 6.5, 9.9, 10.0, 11.5])
 LAMS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
-ROUTES = ("general[zero]", "general[constant_one]", "general[affine_at_a]", "simple",
-          "zero_extension")
+EXTENSIONS = ("zero", "constant_one", "affine_at_a")
+ROUTES = tuple(f"general[{kind}]" for kind in EXTENSIONS) + ("simple", "zero_extension")
 # (a, b, q, x) of the benchmark's sweep probe
 PROBE = (0.0, 2.0, 0.05, 1.6)
 # the geometric table of tests/test_table_measure.py
@@ -163,8 +170,7 @@ def sweep_probe_section():
     prob = identities.ExitProblem(a, b, q, x)
     for model in models.canonical_models().values():
         sf = ScaleFunction(model, q)
-        penalties = {k: generator.extend_penalty(one, a, b, k)
-                     for k in ("zero", "constant_one", "affine_at_a")}
+        penalties = {k: generator.extend_penalty(one, a, b, k) for k in EXTENSIONS}
         for route in ROUTES:
             d.add(route_result, route, one, penalties, sf, prob)
         d.add(identities.overshoot_of_scale_function, model, 0.1, q, 0.1,
@@ -250,18 +256,44 @@ def montecarlo_section():
     return d.hexdigest()
 
 
-def memo_hits(section):
-    """``section()`` with every ``ScaleFunction`` build refused: a build that the
-    memo does not serve raises, and its type enters the digest."""
-    def refuse(self):
-        raise RuntimeError("a build the memo did not serve")
+@functools.cache
+def probe_penalties():
+    """The ``sweep_probe`` extensions of f = 1, made once, so that a second
+    ``membership`` pass meets the reports the first one left on them."""
+    a, b = PROBE[:2]
+    return {k: generator.extend_penalty(one, a, b, k) for k in EXTENSIONS}
 
-    with mock.patch.object(ScaleFunction, "_build", refuse):
+
+def report_values(report):
+    """The numbers of a ``MembershipReport``; no Corollary condition reads NaN."""
+    cond = report.corollary_condition
+    return [v for item in report.items for v in (item.value, item.passed)] + [
+        math.nan if cond is None else cond, report.lemma_integrability,
+        report.membership_unverified]
+
+
+def membership_section():
+    d = Digest()
+    for model in models.canonical_models().values():
+        for penalty in probe_penalties().values():
+            d.add(lambda: report_values(generator.check_membership(penalty, model)))
+    return d.hexdigest()
+
+
+def memo_hits(section):
+    """``section()`` with every ``ScaleFunction`` build and every membership
+    report refused: one that no cache serves raises, and its type enters the
+    digest."""
+    def refuse(*args):
+        raise RuntimeError("a computation no cache served")
+
+    with mock.patch.object(ScaleFunction, "_build", refuse), \
+            mock.patch.object(generator, "_membership_report", refuse):
         return section()
 
 
-# sections run again from the memo; all of their builds fit in it
-REPLAYED = ("scale[laplace_inversion]", "overshoot_of_w")
+# sections run again from the caches; all of their builds fit in the memo
+REPLAYED = ("scale[laplace_inversion]", "overshoot_of_w", "membership")
 
 
 def main():
@@ -275,6 +307,7 @@ def main():
         "golden_eval": golden_section,
         "scale[table]": table_section,
         "montecarlo": montecarlo_section,
+        "membership": membership_section,
     }
     equal = {}
     for name, fn in sections.items():

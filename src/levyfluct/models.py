@@ -251,8 +251,10 @@ def table_jumps(theta, values):
     The support must stay away from zero, so tabulated measures always have
     finite activity.  The interpolation makes the density piecewise
     exponential, pi(t) = pi_i e^{b_i (t - theta_i)} on segment i, so every
-    integral of t^k e^{-lam t} pi(t) over part of a segment is pi(lo)
-    e^{-lam lo} times a sum of the moments ``exp_moments(b_i - lam, hi - lo)``.
+    integral of t^k e^{-lam t} pi(t) over part of a segment is a sum of the
+    moments ``exp_moments(c, hi - lo)``, c = -|b_i - lam|, measured from the
+    end where the integrand is largest: from lo when it falls and from hi when
+    it rises, so no exponential grows and a steep rise loses no digits.
     The jump part of psi keeps one complex exponential term per segment, for
     the Laplace-inversion contour.
     """
@@ -273,13 +275,23 @@ def table_jumps(theta, values):
         lo = np.clip(np.asarray(lo, dtype=float)[..., None], left, right)
         hi = np.clip(np.asarray(hi, dtype=float)[..., None], lo, right)
         lam = np.asarray(lam, dtype=float)[..., None]
-        i0, i1, i2, _ = exp_moments(slope - lam, hi - lo)
-        p = np.exp(logv[:-1] + slope * (lo - left) - lam * lo)
-        return (np.sum(p * i0, axis=-1), np.sum(p * (lo * i0 + i1), axis=-1),
-                np.sum(p * (lo * lo * i0 + 2.0 * lo * i1 + i2), axis=-1))
+        # t = a + sgn u for u in [0, hi - lo], a the end where the integrand peaks
+        rise = slope - lam > 0
+        a, sgn = np.where(rise, hi, lo), np.where(rise, -1.0, 1.0)
+        i0, i1, i2, _ = exp_moments(sgn * (slope - lam), hi - lo)
+        p = np.exp(logv[:-1] + slope * (a - left) - lam * a)
+        return (np.sum(p * i0, axis=-1), np.sum(p * (a * i0 + sgn * i1), axis=-1),
+                np.sum(p * (a * a * i0 + 2.0 * sgn * a * i1 + i2), axis=-1))
+
+    def upper_part(j, s):
+        """Pi(s, theta_{j+1}) for s on segment j, measured from its larger end."""
+        rise = slope[j] > 0
+        start = np.where(rise, logv[j + 1], logv[j] + slope[j] * (s - theta[j]))
+        return np.exp(start) * exp_moments(np.where(rise, -slope[j], slope[j]),
+                                           theta[j + 1] - s)[0]
 
     # tail anchors Pi(theta_i, inf), summed from the top
-    seg = np.exp(logv[:-1]) * exp_moments(slope, right - left)[0]
+    seg = upper_part(np.arange(theta.size - 1), left)
     anchors = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     total_mass = anchors[0]
     _, mean_small, m2_one = moments(0.0, 1.0)
@@ -294,9 +306,7 @@ def table_jumps(theta, values):
         # the anchor above t plus the part of t's segment above it
         t = np.asarray(t, dtype=float)
         j = np.clip(np.searchsorted(theta, t, side="right") - 1, 0, theta.size - 2)
-        s = np.clip(t, theta[0], theta[-1])
-        out = anchors[j + 1] + np.exp(logv[j] + slope[j] * (s - theta[j])) * exp_moments(
-            slope[j], theta[j + 1] - s)[0]
+        out = anchors[j + 1] + upper_part(j, np.clip(t, theta[0], theta[-1]))
         return out.item() if out.ndim == 0 else out
 
     def jump_part(lam):

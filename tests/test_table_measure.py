@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyfluct.models import (LevyTriplet, laplace_exponent, laplace_exponent_derivative,
@@ -117,6 +117,8 @@ def tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tables(), st.floats(0.01, 5.0))
+# a rise of log-slope 691 onto the last sample: the tail must stay flat there
+@example((np.array([1.0, 2.0, 3.0]), np.array([0.125, 0.0, 1.0])), 1.0)
 def test_table_measure_properties(table, q):
     theta, values = table
     meas = table_jumps(theta, values)

@@ -20,8 +20,8 @@ from .errors import (ConditionNotMetError, HypothesisViolationError, LevyFluctEr
 from .models import (LevyMeasureSpec, LevyTriplet, brownian_motion, canonical_models,
                      cramer_lundberg, exponential_jumps, jump_diffusion,
                      laplace_exponent, laplace_exponent_derivative, model_from_dict,
-                     model_from_json, no_jumps, path_variation, right_inverse_phi,
-                     table_jumps, tempered_stable_jumps, tempered_stable_process)
+                     no_jumps, path_variation, right_inverse_phi, table_jumps,
+                     tempered_stable_jumps, tempered_stable_process)
 from .scale import ScaleFunction, euler_inversion, invert_laplace, transform_roundtrip
 from .generator import (ExtendedPenalty, ExtensionRecipe, MembershipReport,
                         apply_generator, check_membership, extend_penalty)

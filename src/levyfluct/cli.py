@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      UnsupportedCaseError)
 from .expressions import compile_expression
 from .generator import ExtensionRecipe, check_membership, extend_penalty
-from .models import model_from_dict
+from .models import model_from_dict, spec_number
 from .scale import ScaleFunction
 
 _SPEC_ERRORS = (SpecError, ModelError, KeyError, TypeError, ValueError,
@@ -68,13 +67,18 @@ def _require(spec, key, where="spec"):
     return spec[key]
 
 
-def _build_problem(spec):
+def _build_problem(spec, kind="exit"):
+    """The model, the ``kind`` command's problem ("exit", "reflected" or
+    "refracted") and a lazy ScaleFunction thunk."""
     model = model_from_dict(_require(spec, "model"))
-    a = float(_require(spec, "a"))
-    b = float(_require(spec, "b"))
-    q = float(_require(spec, "q"))
-    x = float(_require(spec, "x"))
-    prob = idn.ExitProblem(a, b, q, x)
+    a, b, q, x = (spec_number(spec, key) for key in ("a", "b", "q", "x"))
+    if kind == "refracted":
+        prob = rr.RefractedSpec(model=model, delta=spec_number(spec, "delta"),
+                                c=spec_number(spec, "c"), a=a, b=b, q=q, x=x)
+    elif kind == "reflected":
+        prob = rr.ReflectedSpec(model=model, a=a, b=b, q=q, x=x)
+    else:
+        prob = idn.ExitProblem(a, b, q, x)
     # built on first use: mc and the reflected and refracted identities read
     # it only through W(...) or the scale_function extension
     scale = functools.cache(
@@ -86,13 +90,15 @@ def _lazy_w(scale):
     return lambda y: scale().w(y)
 
 
-def _penalty_callable(f_spec, scale):
+def _penalty_f(spec, scale):
+    """The penalty f of the spec's ``penalty.f`` field; ``scale()`` gives the ScaleFunction."""
+    f_spec = _require(_require(spec, "penalty"), "f", "penalty")
     if isinstance(f_spec, str):
         return compile_expression(f_spec, w=_lazy_w(scale))
     if isinstance(f_spec, dict) and "table" in f_spec:
         table = f_spec["table"]
-        ys = np.asarray(_require(table, "y", "penalty.f.table"), dtype=float)
-        vals = np.asarray(_require(table, "values", "penalty.f.table"), dtype=float)
+        ys, vals = (spec_number(table, key, "penalty.f.table", array=True)
+                    for key in ("y", "values"))
         if ys.ndim != 1 or ys.shape != vals.shape or np.any(np.diff(ys) <= 0):
             raise SpecError("table needs matching increasing y/values arrays",
                             field="penalty.f.table")
@@ -101,13 +107,7 @@ def _penalty_callable(f_spec, scale):
                     field="penalty.f")
 
 
-def _penalty_f(spec, scale):
-    """The penalty f of the spec's ``penalty.f`` field; ``scale()`` gives the ScaleFunction."""
-    return _penalty_callable(_require(_require(spec, "penalty"), "f", "penalty"), scale)
-
-
-def _build_penalty(spec, prob, scale):
-    f = _penalty_f(spec, scale)
+def _build_penalty(spec, f, prob, scale):
     ext = spec["penalty"].get("extension", {"kind": "constant_one"})
     kind = _require(ext, "kind", "penalty.extension")
     if kind == "custom":
@@ -117,22 +117,11 @@ def _build_penalty(spec, prob, scale):
     elif kind == "scale_function":
         recipe = ExtensionRecipe(kind="scale_function", scale=scale())
     elif kind in ("zero", "constant_one", "affine_at_a"):
-        recipe = ExtensionRecipe(kind=kind, slope=ext.get("slope"))
+        recipe = ExtensionRecipe(
+            kind=kind, slope=spec_number(ext, "slope", "penalty.extension", default=None))
     else:
         raise SpecError(f"unknown extension kind {kind!r}", field="penalty.extension")
     return extend_penalty(f, prob.a, prob.b, recipe)
-
-
-def _mc_number(block, key, default, integral=False):
-    """``mc.<key>`` as a float, or an int when ``integral``; anything else is a spec error."""
-    val = block.get(key, default)
-    if val is None and default is None:
-        return None
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or (integral and not float(val).is_integer())):
-        kind = "an integer" if integral else "a number"
-        raise SpecError(f"must be {kind}, got {val!r}", field=f"mc.{key}")
-    return int(val) if integral else float(val)
 
 
 def _mc_settings(spec, args):
@@ -141,15 +130,18 @@ def _mc_settings(spec, args):
         block["paths"] = args.paths
     if args.seed is not None:
         block["seed"] = args.seed
-    paths = _mc_number(block, "paths", 20_000, integral=True)
+    paths = spec_number(block, "paths", "mc", default=20_000, integral=True)
     if paths < 2:
         # one path has no standard error, and none has no estimate
         raise SpecError(f"need at least 2 paths, got {paths}", field="mc.paths")
+    seed = spec_number(block, "seed", "mc", default=0, integral=True)
+    if not 0 <= seed < 2 ** 128:
+        raise SpecError("must lie in [0, 2**128)", field="mc.seed")
     scheme = mc.SimScheme(
-        dt=_mc_number(block, "dt", 1e-3),
-        eps=_mc_number(block, "eps", 1e-3),
-        seed=_mc_number(block, "seed", 0, integral=True),
-        horizon=_mc_number(block, "horizon", None),
+        dt=spec_number(block, "dt", "mc", default=1e-3),
+        eps=spec_number(block, "eps", "mc", default=1e-3),
+        seed=seed,
+        horizon=spec_number(block, "horizon", "mc", default=None),
         small_jump_mode=block.get("small_jump_mode", "auto"),
     )
     return scheme, paths
@@ -164,45 +156,41 @@ def _emit_value(val, args):
     _emit(payload, [record], args)
 
 
-def _evaluate_route(formula, penalty, scale, prob, spec):
-    sf = scale()
+def _evaluate_route(formula, f, penalty, sf, prob):
+    if formula == "zero_extension":
+        return idn.overshoot_zero_extension(f, sf, prob)
+    if formula not in ("auto", "general", "simple"):
+        raise SpecError(f"unknown formula {formula!r}", field="formula")
     membership = check_membership(penalty, sf.model)
     if formula == "auto":
         formula = "simple" if membership.simple_form_admissible else "general"
-    if formula == "general":
-        return idn.overshoot_functional_general(penalty, sf, prob, membership=membership)
-    if formula == "simple":
-        return idn.overshoot_functional_simple(penalty, sf, prob, membership=membership)
-    if formula == "zero_extension":
-        return idn.overshoot_zero_extension(_penalty_f(spec, scale), sf, prob)
-    raise SpecError(f"unknown formula {formula!r}", field="formula")
+    route = (idn.overshoot_functional_simple if formula == "simple"
+             else idn.overshoot_functional_general)
+    return route(penalty, sf, prob, membership=membership)
 
 
 def cmd_eval(args):
     spec = _load_spec(args.spec)
-    model, prob, scale = _build_problem(spec)
-    penalty = _build_penalty(spec, prob, scale)
-    formula = spec.get("formula", "auto")
-    _emit_value(_evaluate_route(formula, penalty, scale, prob, spec), args)
+    _, prob, scale = _build_problem(spec)
+    f = _penalty_f(spec, scale)
+    penalty = _build_penalty(spec, f, prob, scale)
+    _emit_value(_evaluate_route(spec.get("formula", "auto"), f, penalty, scale(), prob), args)
     return 0
 
 
 def cmd_scale(args):
     spec = _load_spec(args.spec)
     model = model_from_dict(_require(spec, "model"))
-    q = float(_require(spec, "q"))
+    q = spec_number(spec, "q")
     grid = _require(spec, "grid")
-    fields = {key: _require(grid, key, "grid") for key in ("start", "stop", "n")}
-    for key, val in fields.items():
-        number = isinstance(val, (int, float)) and not isinstance(val, bool)
-        if key == "n" and not (number and float(val).is_integer() and val >= 1):
-            raise SpecError(f"must be a positive integer, got {val!r}", field="grid.n")
-        if not (number and math.isfinite(val)):
-            raise SpecError(f"must be a finite number, got {val!r}", field=f"grid.{key}")
-    xs = np.linspace(float(fields["start"]), float(fields["stop"]), int(fields["n"]))
+    start, stop = (spec_number(grid, key, "grid") for key in ("start", "stop"))
+    n = spec_number(grid, "n", "grid", integral=True)
+    if n < 1:
+        raise SpecError(f"must be a positive integer, got {n}", field="grid.n")
+    xs = np.linspace(start, stop, n)
     if np.any(xs <= 0):
         raise SpecError("grid points must be positive", field="grid")
-    sf = ScaleFunction(model, q, x_max=float(xs[-1]) + 1.0)
+    sf = ScaleFunction(model, q, x_max=float(xs.max()) + 1.0)
     columns = {"x": xs, "W": sf.w(xs), "W_prime": sf.w_prime(xs), "Z": sf.z(xs)}
     payload = [dict(zip(columns, map(float, vals))) for vals in zip(*columns.values())]
     print(f"method={sf.method} phi={sf.phi:.12g} "
@@ -265,37 +253,20 @@ def cmd_compare(args):
     return 0
 
 
-def _modified_common(args, refracted):
+def _modified_common(args, kind):
     spec = _load_spec(args.spec)
-    model, prob, scale = _build_problem(spec)
-    provider_name = spec.get("provider", "mc")
-    if provider_name == "closed_form":
-        raise SpecError("the closed_form provider takes user-supplied formula "
-                        "callables and is only available programmatically",
-                        field="provider")
-    if provider_name != "mc":
-        raise SpecError(f"unknown provider {provider_name!r}", field="provider")
+    _, prob, scale = _build_problem(spec, kind)
+    name = spec.get("provider", "mc")
+    if name != "mc":
+        raise SpecError("the closed_form provider takes user-supplied formula callables and "
+                        "is only available programmatically" if name == "closed_form"
+                        else f"unknown provider {name!r}", field="provider")
     scheme, paths = _mc_settings(spec, args)
     provider = rr.MonteCarloProvider(scheme=scheme, n_paths=paths)
-    penalty = _build_penalty(spec, prob, scale)
-    a, b, q, x = prob.a, prob.b, prob.q, prob.x
-    if refracted:
-        rspec = rr.RefractedSpec(model=model, delta=float(_require(spec, "delta")),
-                                 c=float(_require(spec, "c")), a=a, b=b, q=q, x=x)
-        val = rr.refracted_overshoot(penalty, rspec, provider)
-    else:
-        rspec = rr.ReflectedSpec(model=model, b=b, a=a, q=q, x=x)
-        val = rr.reflected_overshoot(penalty, rspec, provider)
-    _emit_value(val, args)
+    penalty = _build_penalty(spec, _penalty_f(spec, scale), prob, scale)
+    overshoot = rr.refracted_overshoot if kind == "refracted" else rr.reflected_overshoot
+    _emit_value(overshoot(penalty, prob, provider), args)
     return 0
-
-
-def cmd_eval_reflected(args):
-    return _modified_common(args, refracted=False)
-
-
-def cmd_eval_refracted(args):
-    return _modified_common(args, refracted=True)
 
 
 def build_parser():
@@ -311,8 +282,8 @@ def build_parser():
         "eval": (cmd_eval, {}),
         "compare": (cmd_compare, {**mc_flags, "--tol": float}),
         "mc": (cmd_mc, mc_flags),
-        "eval-reflected": (cmd_eval_reflected, mc_flags),
-        "eval-refracted": (cmd_eval_refracted, mc_flags),
+        "eval-reflected": (functools.partial(_modified_common, kind="reflected"), mc_flags),
+        "eval-refracted": (functools.partial(_modified_common, kind="refracted"), mc_flags),
     }
     for name, (fn, flags) in commands.items():
         p = sub.add_parser(name)

@@ -16,7 +16,6 @@ Phi(q) and the scale functions derived from it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -78,6 +77,12 @@ class LevyMeasureSpec:
             raise ModelError("finite activity declared but total mass is infinite")
 
 
+def _check_finite(**params):
+    for name, val in params.items():
+        if not math.isfinite(val):
+            raise ModelError(f"{name} must be finite, got {val}")
+
+
 def _zero_tail(theta):
     return np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
 
@@ -102,6 +107,7 @@ def no_jumps():
 
 def exponential_jumps(intensity, decay):
     """Compound Poisson downward jumps: rate ``intensity``, sizes Exp(``decay``)."""
+    _check_finite(intensity=intensity, decay=decay)
     if intensity <= 0 or decay <= 0:
         raise ModelError("intensity and decay must be positive")
     eta, rho = float(intensity), float(decay)
@@ -172,6 +178,7 @@ def tempered_stable_jumps(c, alpha, rho):
     For alpha in (1, 2) the small jumps are non-integrable, giving unbounded
     variation paths even without a Gaussian part.
     """
+    _check_finite(c=c, alpha=alpha, rho=rho)
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ModelError("alpha must lie in (0,1) or (1,2)")
     if c <= 0 or rho <= 0:
@@ -262,6 +269,8 @@ def table_jumps(theta, values):
     values = np.asarray(values, dtype=float)
     if theta.ndim != 1 or theta.shape != values.shape or theta.size < 2:
         raise ModelError("table measure needs matching 1-d theta/density arrays (>= 2 points)")
+    if not (np.isfinite(theta).all() and np.isfinite(values).all()):
+        raise ModelError("theta and density samples must be finite")
     if np.any(np.diff(theta) <= 0) or theta[0] <= 0:
         raise ModelError("theta samples must be strictly increasing and positive")
     if np.any(values < 0) or np.all(values == 0):
@@ -353,6 +362,7 @@ class LevyTriplet:
     measure: LevyMeasureSpec
 
     def __post_init__(self):
+        _check_finite(gamma=self.gamma, sigma=self.sigma)
         if self.sigma < 0:
             raise ModelError("sigma must be nonnegative")
         if (self.sigma == 0.0
@@ -643,45 +653,73 @@ def canonical_models():
 # JSON model specs
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def spec_number(block, key, where=None, default=_REQUIRED, integral=False, array=False):
+    """``block[key]`` as a float, an int where ``integral``, or a float array
+    where ``array``; ``where`` is the dotted name of ``block``, None at the top.
+
+    A missing key gives ``default``, and so does a null where the default is
+    None; with no default it is a ``SpecError`` under ``where``.  Any other
+    value that is not a finite JSON number (a bool, a string, NaN, +-inf, an
+    integer too large for a float) is a ``SpecError`` naming the field.
+    """
+    if key not in block or (block[key] is None and default is None):
+        if default is _REQUIRED:
+            raise SpecError(f"missing field {key!r}", field=where or "spec")
+        return default
+    name = key if where is None else f"{where}.{key}"
+    val = block[key]
+    items = val if array and isinstance(val, list) else [val]
+    try:
+        ok = all(not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+                 for v in items)
+    except OverflowError:
+        raise SpecError("must be a finite number, got an integer too large for a float",
+                        field=name) from None
+    if not ok or (array and items is not val) or (integral and not float(val).is_integer()):
+        kind = ("an array of finite numbers" if array
+                else "a finite integer" if integral else "a finite number")
+        raise SpecError(f"must be {kind}, got {val!r}", field=name)
+    if array:
+        return np.array(val, dtype=float)
+    return int(val) if integral else float(val)
+
+
+_FAMILIES = {
+    "none": (no_jumps, ()),
+    "exponential": (exponential_jumps, ("intensity", "decay")),
+    "tempered_stable": (tempered_stable_jumps, ("c", "alpha", "rho")),
+    "table": (table_jumps, ("theta", "pi")),
+}
+
+
 def measure_from_dict(spec):
+    family = spec.get("family") if isinstance(spec, dict) else None
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise SpecError("missing measure family" if family is None
+                        else f"unknown measure family {family!r}", field="measure.family")
+    where = f"measure[{family}]"
+    rule = spec.get("interpolation", "log-linear")
+    if family == "table" and rule != "log-linear":
+        raise SpecError(f"unsupported interpolation rule {rule!r}", field=f"{where}.interpolation")
+    build, names = _FAMILIES[family]
+    args = [spec_number(spec, name, where, array=family == "table") for name in names]
     try:
-        family = spec["family"]
-    except (KeyError, TypeError):
-        raise SpecError("missing measure family", field="measure.family")
-    try:
-        if family == "none":
-            return no_jumps()
-        if family == "exponential":
-            return exponential_jumps(spec["intensity"], spec["decay"])
-        if family == "tempered_stable":
-            return tempered_stable_jumps(spec["c"], spec["alpha"], spec["rho"])
-        if family == "table":
-            rule = spec.get("interpolation", "log-linear")
-            if rule != "log-linear":
-                raise SpecError(f"unsupported interpolation rule {rule!r}",
-                                field="measure[table].interpolation")
-            return table_jumps(spec["theta"], spec["pi"])
-    except KeyError as exc:
-        raise SpecError(f"missing parameter {exc}", field=f"measure[{family}]")
+        return build(*args)
     except ModelError as exc:
-        raise SpecError(str(exc), field=f"measure[{family}]")
-    raise SpecError(f"unknown measure family {family!r}", field="measure.family")
+        raise SpecError(str(exc), field=where)
 
 
 def model_from_dict(spec):
     """Build a LevyTriplet from {'gamma':..., 'sigma':..., 'measure': {...}}."""
     if not isinstance(spec, dict):
         raise SpecError("model spec must be an object", field="model")
-    for key in ("gamma", "sigma", "measure"):
-        if key not in spec:
-            raise SpecError(f"missing field {key!r}", field="model")
-    measure = measure_from_dict(spec["measure"])
+    gamma, sigma = (spec_number(spec, key, "model") for key in ("gamma", "sigma"))
+    if "measure" not in spec:
+        raise SpecError("missing field 'measure'", field="model")
     try:
-        return LevyTriplet(gamma=float(spec["gamma"]), sigma=float(spec["sigma"]),
-                           measure=measure)
+        return LevyTriplet(gamma=gamma, sigma=sigma, measure=measure_from_dict(spec["measure"]))
     except ModelError as exc:
         raise SpecError(str(exc), field="model")
-
-
-def model_from_json(text):
-    return model_from_dict(json.loads(text))

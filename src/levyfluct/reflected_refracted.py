@@ -22,7 +22,7 @@ from . import models as _models
 from . import montecarlo as mc
 from .errors import UnsupportedCaseError
 from .generator import array_function, generator_closure
-from .identities import GerberShiuValue, _check_alignment
+from .identities import ExitProblem, GerberShiuValue, _check_alignment
 from .quadrature import SQRT, breaks, quad_rows
 
 # 3-point Gauss-Legendre on [-1, 1]
@@ -31,33 +31,22 @@ _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 @dataclass(frozen=True)
-class ReflectedSpec:
+class ReflectedSpec(ExitProblem):
     """Process reflected at the upper level b, killed below a, started at x."""
 
     model: object
-    b: float
-    a: float
-    q: float
-    x: float
-
-    def __post_init__(self):
-        _models.check_exit(self.a, self.b, self.q, self.x)
 
 
 @dataclass(frozen=True)
-class RefractedSpec:
+class RefractedSpec(ExitProblem):
     """Drift reduced by delta above the level c; exit problem on [a, b]."""
 
     model: object
     delta: float
     c: float
-    a: float
-    b: float
-    q: float
-    x: float
 
     def __post_init__(self):
-        _models.check_exit(self.a, self.b, self.q, self.x)
+        super().__post_init__()
         _models.check_refraction(self.model, self.delta, self.c, self.a, self.b)
 
 

@@ -252,6 +252,20 @@ def test_closed_form_provider_is_programmatic_only(tmp_path):
     assert run(["eval-reflected", "--spec", spec]) == 2
 
 
+def test_scale_descending_grid_reverses_ascending_rows(tmp_path):
+    # the range is sized from the largest grid point, whichever end it is
+    model = {"gamma": 0.35, "sigma": 0.0, "measure": {
+        "family": "tempered_stable", "c": 0.08, "alpha": 1.5, "rho": 1.0}}
+    rows = {}
+    for name, (start, stop) in {"up": (1.0, 5.0), "down": (5.0, 1.0)}.items():
+        spec = write_spec(tmp_path, f"{name}.json", {
+            "model": model, "q": 0.05, "grid": {"start": start, "stop": stop, "n": 5}})
+        out = tmp_path / f"{name}.out"
+        assert run(["scale", "--spec", spec, "--out", str(out)]) == 0
+        rows[name] = json.loads(out.read_text())
+    assert rows["down"] == rows["up"][::-1]
+
+
 def test_scale_grid_without_points_is_spec_error(tmp_path, capsys):
     spec = write_spec(tmp_path, "scale.json", {
         "model": JD_MODEL, "q": 0.05,
@@ -426,9 +440,28 @@ def jd_measure(**measure):
     ("eval", spec_with(model=jd_measure(intensity=0.8, decay=1.5)), "measure.family"),
     ("eval", spec_with(model=jd_measure(family="exponential", intensity=-1, decay=1.5)),
      "measure[exponential]"),
+    ("eval", spec_with(a=False), "a"),
+    ("eval", spec_with(x="1.0"), "x"),
+    ("eval", spec_with(a=-10 ** 400), "a"),
+    ("eval", spec_with(model=dict(JD_MODEL, gamma=float("nan"))), "model.gamma"),
+    ("mc", spec_with(model=dict(JD_MODEL, gamma=float("nan")),
+                     mc={"paths": 200, "seed": 1, "horizon": 5.0}), "model.gamma"),
+    ("eval", spec_with(model=jd_measure(family="exponential", intensity="0.8", decay=1.5)),
+     "measure[exponential].intensity"),
+    ("eval", spec_with(model={"gamma": 0.35, "sigma": 0.0, "measure": {
+        "family": "tempered_stable", "c": 0.08, "alpha": 1.5, "rho": float("nan")}}),
+     "measure[tempered_stable].rho"),
+    ("eval", spec_with(penalty={"f": {"table": {"y": [-5.0, -1.0, 0.0],
+                                                "values": [0.1, "0.5", 1.0]}}}),
+     "penalty.f.table.values"),
+    ("eval", spec_with(penalty={"f": "1", "extension": {"kind": "affine_at_a", "slope": True}}),
+     "penalty.extension.slope"),
+    ("eval-refracted", spec_with(delta="0.1", c=1.0), "delta"),
 ], ids=["missing-a", "f-number", "formula", "grid-at-0", "grid-stop-inf", "grid-start-nan",
         "grid-n-fraction", "grid-n-negative", "provider", "expr-unclosed", "expr-keyword",
-        "expr-w-arity", "model-list", "no-family", "negative-intensity"])
+        "expr-w-arity", "model-list", "no-family", "negative-intensity", "a-bool", "x-string",
+        "a-too-large", "gamma-nan", "mc-gamma-nan", "intensity-string", "tempered-rho-nan",
+        "table-value-string", "slope-bool", "delta-string"])
 def test_spec_error_names_its_field(tmp_path, capsys, command, spec, field):
     path = write_spec(tmp_path, "spec.json", spec)
     with warnings.catch_warnings(record=True) as caught:
@@ -457,7 +490,7 @@ def test_python_m_levyfluct_runs_the_cli():
 # mc settings of the wrong type are spec errors that name their field
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("paths", 200.5), ("dt", "0.004"),
-                                          ("eps", "small"), ("horizon", "5")])
+                                          ("eps", "small"), ("horizon", "5"), ("seed", -3)])
 def test_mc_setting_of_wrong_type_is_spec_error(tmp_path, capsys, field, value):
     settings = {"paths": 200, "seed": 1, "horizon": 5.0}
     settings[field] = value

@@ -1,12 +1,14 @@
 """Exit, resolvent, creeping and overshoot-functional identities."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from levyfluct import (ConditionNotMetError, ExitProblem, ExtensionRecipe,
-                       ModelError, ScaleFunction, boundary_start, check_membership,
+                       ModelError, RefractedSpec, ReflectedSpec, ScaleFunction,
+                       boundary_start, brownian_motion, check_membership,
                        creeping_transform, extend_penalty, mass_balance_gap,
                        overshoot_functional_general, overshoot_functional_simple,
                        overshoot_of_scale_function, overshoot_zero_extension,
@@ -30,6 +32,15 @@ def test_exit_problem_validation():
         ExitProblem(0.0, 1.0, 0.1, 2.0)
     with pytest.raises(ModelError):
         ExitProblem(0.0, 1.0, -0.1, 0.5)
+    # the reflected and refracted specs are exit problems, checked alike
+    model = brownian_motion()
+    for make in (functools.partial(ReflectedSpec, model=model),
+                 functools.partial(RefractedSpec, model=model, delta=0.1, c=0.5)):
+        assert isinstance(make(a=0.0, b=1.0, q=0.1, x=0.5), ExitProblem)
+        for a, b, q, x in ((1.0, 0.0, 0.1, 0.5), (0.0, 1.0, 0.1, 2.0), (0.0, 1.0, -0.1, 0.5),
+                           (0.0, 1.0, math.nan, 0.5)):
+            with pytest.raises(ModelError):
+                make(a=a, b=b, q=q, x=x)
 
 
 def test_two_sided_exit_up_edges(catalog, scale_cache):

@@ -9,7 +9,7 @@ from levyfluct import (ModelError, SpecError, brownian_motion,
                        laplace_exponent, laplace_exponent_derivative,
                        model_from_dict, path_variation, right_inverse_phi,
                        table_jumps)
-from levyfluct.models import LevyTriplet, exponential_jumps, no_jumps
+from levyfluct.models import LevyTriplet, exponential_jumps, no_jumps, tempered_stable_jumps
 from levyfluct.quadrature import quad
 
 
@@ -124,6 +124,18 @@ def test_subordinator_negative_is_rejected():
 def test_negative_sigma_rejected():
     with pytest.raises(ModelError):
         LevyTriplet(gamma=0.1, sigma=-1.0, measure=no_jumps())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LevyTriplet(gamma=math.nan, sigma=1.0, measure=no_jumps()),
+    lambda: LevyTriplet(gamma=0.3, sigma=math.inf, measure=no_jumps()),
+    lambda: exponential_jumps(0.8, math.nan),
+    lambda: tempered_stable_jumps(0.08, 1.5, math.nan),
+    lambda: table_jumps([0.5, 1.0], [1.0, math.inf]),
+], ids=["gamma", "sigma", "exponential-decay", "tempered-rho", "table-pi"])
+def test_nonfinite_parameters_are_refused(build):
+    with pytest.raises(ModelError, match="must be finite"):
+        build()
 
 
 def test_catalog_sanity(catalog):

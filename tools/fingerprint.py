@@ -36,6 +36,12 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   outcome, the Corollary condition, the lemma flag and the unverified flag of
   ``check_membership`` for the ``sweep_probe`` section's three extensions of
   f = 1 on the four catalog fixtures;
+* ``modified`` (printed after ``membership``): the value, terms and accuracy
+  of ``reflected_overshoot`` and of ``refracted_overshoot`` (delta = 0.15 and
+  delta = 0, c = 1) for f = e^y on the jump-diffusion and Cramer-Lundberg
+  fixtures, with a seeded ``MonteCarloProvider`` of a few hundred paths, and
+  the exit code and output bytes of one ``eval-reflected`` and one
+  ``eval-refracted`` command;
 * ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
   ``overshoot_of_w`` and ``membership`` run again right after their first
   run, with every ``ScaleFunction`` build and every membership report refused,
@@ -60,7 +66,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from levyfluct import cli, generator, identities, models, montecarlo  # noqa: E402
+from levyfluct import (cli, generator, identities, models, montecarlo,  # noqa: E402
+                       reflected_refracted as rr)
 from levyfluct.scale import ScaleFunction  # noqa: E402
 
 QS = (0.0, 0.05, 0.5)
@@ -209,16 +216,21 @@ def overshoot_of_w_section():
     return f"{d.hexdigest()} probe {values[0]}"
 
 
-def golden_section():
+def cli_run(command, spec):
+    """The exit code and output bytes of ``levyfluct <command>`` on ``spec``."""
     out = io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(GOLDEN_SPEC))
+    sys.stdin = io.StringIO(json.dumps(spec))
     try:
         with contextlib.redirect_stdout(out):
-            code = cli.main(["eval", "--spec", "-"])
+            code = cli.main([command, "--spec", "-"])
     finally:
         sys.stdin = saved
-    text = out.getvalue().encode()
+    return code, out.getvalue().encode()
+
+
+def golden_section():
+    code, text = cli_run("eval", GOLDEN_SPEC)
     match = code == 0 and text == GOLDEN.read_bytes()
     return f"{hashlib.sha256(text).hexdigest()} {'match' if match else 'DIFFERS'}"
 
@@ -280,6 +292,39 @@ def membership_section():
     return d.hexdigest()
 
 
+# the refraction level and drift reductions of the modified section
+MOD_C = 1.0
+MOD_DELTAS = (0.15, 0.0)
+MOD_SCHEME = montecarlo.SimScheme(dt=4e-3, seed=13, horizon=4.0)
+MOD_SPEC = dict(GOLDEN_SPEC, penalty={"f": "exp(y)", "extension": {"kind": "constant_one"}},
+                mc={"paths": MC_PATHS, "dt": 4e-3, "seed": 13})
+
+
+def value_numbers(val):
+    """The value, terms and accuracy of a ``GerberShiuValue``."""
+    return [val.value, *val.terms.values(), val.accuracy]
+
+
+def modified_section():
+    d = Digest()
+    a, b, q, x = MC_POINT
+    for name in ("jump_diffusion", "cramer_lundberg"):
+        model = models.canonical_models()[name]
+        penalty = generator.extend_penalty(np.exp, a, b, "constant_one")
+        provider = rr.MonteCarloProvider(scheme=MOD_SCHEME, n_paths=MC_PATHS, n_bins=MC_BINS)
+        d.add(lambda: value_numbers(rr.reflected_overshoot(
+            penalty, rr.ReflectedSpec(model=model, b=b, a=a, q=q, x=x), provider)))
+        for delta in MOD_DELTAS:
+            d.add(lambda: value_numbers(rr.refracted_overshoot(
+                penalty, rr.RefractedSpec(model=model, delta=delta, c=MOD_C, a=a, b=b, q=q, x=x),
+                provider)))
+    for command, extra in (("eval-reflected", {}),
+                           ("eval-refracted", {"delta": MOD_DELTAS[0], "c": MOD_C})):
+        code, text = cli_run(command, dict(MOD_SPEC, **extra))
+        d.add(lambda: [code, *text])
+    return d.hexdigest()
+
+
 def memo_hits(section):
     """``section()`` with every ``ScaleFunction`` build and every membership
     report refused: one that no cache serves raises, and its type enters the
@@ -308,6 +353,7 @@ def main():
         "scale[table]": table_section,
         "montecarlo": montecarlo_section,
         "membership": membership_section,
+        "modified": modified_section,
     }
     equal = {}
     for name, fn in sections.items():

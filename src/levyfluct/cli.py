@@ -25,7 +25,7 @@ from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      UnsupportedCaseError)
 from .expressions import compile_expression
 from .generator import ExtensionRecipe, check_membership, extend_penalty
-from .models import model_from_dict, spec_number
+from .models import model_from_dict, spec_field, spec_number
 from .scale import ScaleFunction
 
 _SPEC_ERRORS = (SpecError, ModelError, KeyError, TypeError, ValueError,
@@ -61,16 +61,10 @@ def _emit(payload, records, args):
         sys.stdout.write(text)
 
 
-def _require(spec, key, where="spec"):
-    if key not in spec:
-        raise SpecError(f"missing field {key!r}", field=where)
-    return spec[key]
-
-
 def _build_problem(spec, kind="exit"):
     """The model, the ``kind`` command's problem ("exit", "reflected" or
     "refracted") and a lazy ScaleFunction thunk."""
-    model = model_from_dict(_require(spec, "model"))
+    model = model_from_dict(spec_field(spec, "model"))
     a, b, q, x = (spec_number(spec, key) for key in ("a", "b", "q", "x"))
     if kind == "refracted":
         prob = rr.RefractedSpec(model=model, delta=spec_number(spec, "delta"),
@@ -86,34 +80,33 @@ def _build_problem(spec, kind="exit"):
     return model, prob, scale
 
 
-def _lazy_w(scale):
-    return lambda y: scale().w(y)
+def _penalty(spec, prob, scale):
+    """The spec's ``penalty`` block as an ExtendedPenalty on [prob.a, prob.b];
+    ``scale()``, called only for W(...) and the scale_function extension,
+    gives the ScaleFunction."""
+    def expression(text, where):
+        if not isinstance(text, str):
+            raise SpecError(f"must be an expression string, got {text!r}", field=where)
+        return compile_expression(text, w=lambda y: scale().w(y))
 
-
-def _penalty_f(spec, scale):
-    """The penalty f of the spec's ``penalty.f`` field; ``scale()`` gives the ScaleFunction."""
-    f_spec = _require(_require(spec, "penalty"), "f", "penalty")
-    if isinstance(f_spec, str):
-        return compile_expression(f_spec, w=_lazy_w(scale))
-    if isinstance(f_spec, dict) and "table" in f_spec:
-        table = f_spec["table"]
+    block = spec_field(spec, "penalty")
+    f_spec = spec_field(block, "f", "penalty")
+    if isinstance(f_spec, dict):
+        table = spec_field(f_spec, "table", "penalty.f")
         ys, vals = (spec_number(table, key, "penalty.f.table", array=True)
                     for key in ("y", "values"))
         if ys.ndim != 1 or ys.shape != vals.shape or np.any(np.diff(ys) <= 0):
             raise SpecError("table needs matching increasing y/values arrays",
                             field="penalty.f.table")
-        return lambda y: np.interp(y, ys, vals)
-    raise SpecError("penalty f must be an expression string or {'table': ...}",
-                    field="penalty.f")
-
-
-def _build_penalty(spec, f, prob, scale):
-    ext = spec["penalty"].get("extension", {"kind": "constant_one"})
-    kind = _require(ext, "kind", "penalty.extension")
+        f = lambda y: np.interp(y, ys, vals)
+    else:
+        f = expression(f_spec, "penalty.f")
+    ext = spec_field(block, "extension", "penalty", default={"kind": "constant_one"})
+    kind = spec_field(ext, "kind", "penalty.extension")
     if kind == "custom":
-        expr = _require(ext, "expr", "penalty.extension")
+        expr = spec_field(ext, "expr", "penalty.extension")
         recipe = ExtensionRecipe(kind="custom",
-                                 f_tilde=compile_expression(expr, w=_lazy_w(scale)))
+                                 f_tilde=expression(expr, "penalty.extension.expr"))
     elif kind == "scale_function":
         recipe = ExtensionRecipe(kind="scale_function", scale=scale())
     elif kind in ("zero", "constant_one", "affine_at_a"):
@@ -125,24 +118,25 @@ def _build_penalty(spec, f, prob, scale):
 
 
 def _mc_settings(spec, args):
-    block = dict(spec.get("mc", {}))
-    if args.paths is not None:
-        block["paths"] = args.paths
-    if args.seed is not None:
-        block["seed"] = args.seed
-    paths = spec_number(block, "paths", "mc", default=20_000, integral=True)
+    block = spec_field(spec, "mc", default={})
+    paths = (args.paths if args.paths is not None
+             else spec_number(block, "paths", "mc", default=20_000, integral=True))
     if paths < 2:
         # one path has no standard error, and none has no estimate
         raise SpecError(f"need at least 2 paths, got {paths}", field="mc.paths")
-    seed = spec_number(block, "seed", "mc", default=0, integral=True)
+    seed = (args.seed if args.seed is not None
+            else spec_number(block, "seed", "mc", default=0, integral=True))
     if not 0 <= seed < 2 ** 128:
         raise SpecError("must lie in [0, 2**128)", field="mc.seed")
+    mode = spec_field(block, "small_jump_mode", "mc", default="auto")
+    if mode not in mc.SMALL_JUMP_MODES:
+        raise SpecError(f"unknown mode {mode!r}", field="mc.small_jump_mode")
     scheme = mc.SimScheme(
         dt=spec_number(block, "dt", "mc", default=1e-3),
         eps=spec_number(block, "eps", "mc", default=1e-3),
         seed=seed,
         horizon=spec_number(block, "horizon", "mc", default=None),
-        small_jump_mode=block.get("small_jump_mode", "auto"),
+        small_jump_mode=mode,
     )
     return scheme, paths
 
@@ -156,9 +150,9 @@ def _emit_value(val, args):
     _emit(payload, [record], args)
 
 
-def _evaluate_route(formula, f, penalty, sf, prob):
+def _evaluate_route(formula, penalty, sf, prob):
     if formula == "zero_extension":
-        return idn.overshoot_zero_extension(f, sf, prob)
+        return idn.overshoot_zero_extension(penalty.f, sf, prob)
     if formula not in ("auto", "general", "simple"):
         raise SpecError(f"unknown formula {formula!r}", field="formula")
     membership = check_membership(penalty, sf.model)
@@ -169,20 +163,18 @@ def _evaluate_route(formula, f, penalty, sf, prob):
     return route(penalty, sf, prob, membership=membership)
 
 
-def cmd_eval(args):
-    spec = _load_spec(args.spec)
+def cmd_eval(spec, args):
     _, prob, scale = _build_problem(spec)
-    f = _penalty_f(spec, scale)
-    penalty = _build_penalty(spec, f, prob, scale)
-    _emit_value(_evaluate_route(spec.get("formula", "auto"), f, penalty, scale(), prob), args)
+    penalty = _penalty(spec, prob, scale)
+    formula = spec_field(spec, "formula", default="auto")
+    _emit_value(_evaluate_route(formula, penalty, scale(), prob), args)
     return 0
 
 
-def cmd_scale(args):
-    spec = _load_spec(args.spec)
-    model = model_from_dict(_require(spec, "model"))
+def cmd_scale(spec, args):
+    model = model_from_dict(spec_field(spec, "model"))
     q = spec_number(spec, "q")
-    grid = _require(spec, "grid")
+    grid = spec_field(spec, "grid")
     start, stop = (spec_number(grid, key, "grid") for key in ("start", "stop"))
     n = spec_number(grid, "n", "grid", integral=True)
     if n < 1:
@@ -199,10 +191,9 @@ def cmd_scale(args):
     return 0
 
 
-def cmd_mc(args):
-    spec = _load_spec(args.spec)
+def cmd_mc(spec, args):
     model, prob, scale = _build_problem(spec)
-    f = _penalty_f(spec, scale)
+    f = _penalty(spec, prob, scale).f
     scheme, paths = _mc_settings(spec, args)
     est = mc.estimate_overshoot_functional(model, f, prob.a, prob.b, prob.q,
                                            prob.x, scheme, paths)
@@ -212,11 +203,10 @@ def cmd_mc(args):
     return 0
 
 
-def cmd_compare(args):
-    spec = _load_spec(args.spec)
+def cmd_compare(spec, args):
     model, prob, scale = _build_problem(spec)
+    f = _penalty(spec, prob, scale).f
     sf = scale()
-    f = _penalty_f(spec, scale)
     tol = args.tol if args.tol is not None else 1e-6
 
     penalties = {kind: extend_penalty(f, prob.a, prob.b, kind)
@@ -253,17 +243,16 @@ def cmd_compare(args):
     return 0
 
 
-def _modified_common(args, kind):
-    spec = _load_spec(args.spec)
+def _modified_common(spec, args, kind):
     _, prob, scale = _build_problem(spec, kind)
-    name = spec.get("provider", "mc")
+    name = spec_field(spec, "provider", default="mc")
     if name != "mc":
         raise SpecError("the closed_form provider takes user-supplied formula callables and "
                         "is only available programmatically" if name == "closed_form"
                         else f"unknown provider {name!r}", field="provider")
     scheme, paths = _mc_settings(spec, args)
     provider = rr.MonteCarloProvider(scheme=scheme, n_paths=paths)
-    penalty = _build_penalty(spec, _penalty_f(spec, scale), prob, scale)
+    penalty = _penalty(spec, prob, scale)
     overshoot = rr.refracted_overshoot if kind == "refracted" else rr.reflected_overshoot
     _emit_value(overshoot(penalty, prob, provider), args)
     return 0
@@ -299,7 +288,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_load_spec(args.spec), args)
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -283,7 +283,7 @@ def overshoot_of_scale_function(model, delta, p_kill, q_inner, prob,
         out = (q_inner - p_kill) * sf_x.w(z)
         return out - delta * sf_x.w_prime(z) if delta else out
 
-    ratio = float(sf_y.w(x - a) / sf_y.w(b - a))
+    ratio = two_sided_exit_up(sf_y, prob)
     # ungraded panels and the plain density: K's stencil W' stalls the rows at errors of
     # 1e-10 to 6e-10 in either layout, and this one keeps the benchmark probe's reading
     vals, _ = quad_rows(lambda r, z: K(z) * (ratio * sf_y.w(b - z) - sf_y.w(x - z)),

@@ -656,21 +656,31 @@ def canonical_models():
 _REQUIRED = object()
 
 
-def spec_number(block, key, where=None, default=_REQUIRED, integral=False, array=False):
-    """``block[key]`` as a float, an int where ``integral``, or a float array
-    where ``array``; ``where`` is the dotted name of ``block``, None at the top.
-
-    A missing key gives ``default``, and so does a null where the default is
-    None; with no default it is a ``SpecError`` under ``where``.  Any other
-    value that is not a finite JSON number (a bool, a string, NaN, +-inf, an
-    integer too large for a float) is a ``SpecError`` naming the field.
-    """
-    if key not in block or (block[key] is None and default is None):
+def spec_field(block, key, where=None, default=_REQUIRED):
+    """``block[key]``, or ``default`` where it is missing; ``where`` is the dotted
+    name of ``block`` (None at the top), under which a block that is not a JSON
+    object, or a missing key with no default, is a ``SpecError``."""
+    if not isinstance(block, dict):
+        raise SpecError("must be an object", field=where or "spec")
+    if key not in block:
         if default is _REQUIRED:
             raise SpecError(f"missing field {key!r}", field=where or "spec")
         return default
+    return block[key]
+
+
+def spec_number(block, key, where=None, default=_REQUIRED, integral=False, array=False):
+    """``spec_field(block, key, where, default)`` as a float, an int where
+    ``integral``, or a float array where ``array``.
+
+    A null where the default is None gives None.  Any other value that is not
+    a finite JSON number (a bool, a string, NaN, +-inf, an integer too large
+    for a float) is a ``SpecError`` naming the field.
+    """
+    val = spec_field(block, key, where, default)
+    if val is None and default is None:
+        return None
     name = key if where is None else f"{where}.{key}"
-    val = block[key]
     items = val if array and isinstance(val, list) else [val]
     try:
         ok = all(not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
@@ -696,12 +706,12 @@ _FAMILIES = {
 
 
 def measure_from_dict(spec):
-    family = spec.get("family") if isinstance(spec, dict) else None
+    family = spec_field(spec, "family", "measure", default=None)
     if not (isinstance(family, str) and family in _FAMILIES):
         raise SpecError("missing measure family" if family is None
                         else f"unknown measure family {family!r}", field="measure.family")
     where = f"measure[{family}]"
-    rule = spec.get("interpolation", "log-linear")
+    rule = spec_field(spec, "interpolation", where, default="log-linear")
     if family == "table" and rule != "log-linear":
         raise SpecError(f"unsupported interpolation rule {rule!r}", field=f"{where}.interpolation")
     build, names = _FAMILIES[family]
@@ -714,12 +724,9 @@ def measure_from_dict(spec):
 
 def model_from_dict(spec):
     """Build a LevyTriplet from {'gamma':..., 'sigma':..., 'measure': {...}}."""
-    if not isinstance(spec, dict):
-        raise SpecError("model spec must be an object", field="model")
     gamma, sigma = (spec_number(spec, key, "model") for key in ("gamma", "sigma"))
-    if "measure" not in spec:
-        raise SpecError("missing field 'measure'", field="model")
+    measure = measure_from_dict(spec_field(spec, "measure", "model"))
     try:
-        return LevyTriplet(gamma=gamma, sigma=sigma, measure=measure_from_dict(spec["measure"]))
+        return LevyTriplet(gamma=gamma, sigma=sigma, measure=measure)
     except ModelError as exc:
         raise SpecError(str(exc), field="model")

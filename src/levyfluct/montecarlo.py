@@ -42,6 +42,7 @@ from .generator import penalty_function
 
 CAPPED_FLAG_LEVEL = 1e-3
 CELLS = 8192      # variate cells (paths x steps) drawn per block
+SMALL_JUMP_MODES = ("auto", "gaussian_approx", "drift_only")
 
 
 def thread_count():
@@ -81,7 +82,7 @@ class SimScheme:
             raise ModelError("dt and eps must be finite and positive")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ModelError("horizon must be finite and positive")
-        if self.small_jump_mode not in ("auto", "gaussian_approx", "drift_only"):
+        if self.small_jump_mode not in SMALL_JUMP_MODES:
             raise ModelError(f"unknown small_jump_mode {self.small_jump_mode!r}")
 
     def resolve_horizon(self, q):

@@ -1,6 +1,7 @@
 """CLI: spec parsing, output formats, exit codes, golden file."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -457,11 +458,33 @@ def jd_measure(**measure):
     ("eval", spec_with(penalty={"f": "1", "extension": {"kind": "affine_at_a", "slope": True}}),
      "penalty.extension.slope"),
     ("eval-refracted", spec_with(delta="0.1", c=1.0), "delta"),
+    ("eval", spec_with(penalty=3), "penalty"),
+    ("eval", spec_with(penalty={"f": {"table": 5}}), "penalty.f.table"),
+    ("eval", spec_with(penalty={"f": "1", "extension": "zero"}), "penalty.extension"),
+    ("scale", {"model": JD_MODEL, "q": 0.05, "grid": 5}, "grid"),
+    ("mc", spec_with(mc=[3]), "mc"),
+    ("eval", spec_with(model=None), "spec"),
+    ("eval", spec_with(penalty=None), "spec"),
+    ("eval", spec_with(penalty={"extension": {"kind": "zero"}}), "penalty"),
+    ("eval", spec_with(penalty={"f": "1", "extension": {"slope": 1.0}}), "penalty.extension"),
+    ("eval", spec_with(penalty={"f": "1", "extension": {"kind": "custom"}}),
+     "penalty.extension"),
+    ("eval", spec_with(penalty={"f": "1", "extension": {"kind": "custom", "expr": 5}}),
+     "penalty.extension.expr"),
+    ("mc", spec_with(mc={"paths": 200, "seed": 1, "small_jump_mode": "bogus"}),
+     "mc.small_jump_mode"),
+    ("mc", spec_with(penalty={"f": "1", "extension": {"kind": "bogus"}},
+                     mc={"paths": 200, "seed": 1, "horizon": 5.0}), "penalty.extension"),
+    ("compare", spec_with(penalty={"f": "1", "extension": {"kind": "bogus"}},
+                          mc={"paths": 200, "seed": 1, "horizon": 5.0}), "penalty.extension"),
 ], ids=["missing-a", "f-number", "formula", "grid-at-0", "grid-stop-inf", "grid-start-nan",
         "grid-n-fraction", "grid-n-negative", "provider", "expr-unclosed", "expr-keyword",
         "expr-w-arity", "model-list", "no-family", "negative-intensity", "a-bool", "x-string",
         "a-too-large", "gamma-nan", "mc-gamma-nan", "intensity-string", "tempered-rho-nan",
-        "table-value-string", "slope-bool", "delta-string"])
+        "table-value-string", "slope-bool", "delta-string", "penalty-number",
+        "table-number", "extension-string", "grid-number", "mc-list", "missing-model",
+        "missing-penalty", "missing-f", "missing-kind", "custom-without-expr",
+        "expr-number", "small-jump-mode", "mc-extension-kind", "compare-extension-kind"])
 def test_spec_error_names_its_field(tmp_path, capsys, command, spec, field):
     path = write_spec(tmp_path, "spec.json", spec)
     with warnings.catch_warnings(record=True) as caught:
@@ -497,6 +520,19 @@ def test_mc_setting_of_wrong_type_is_spec_error(tmp_path, capsys, field, value):
     spec = write_spec(tmp_path, "mc.json", dict(NONFINITE_BASE, mc=settings))
     assert run(["mc", "--spec", spec]) == 2
     assert f"mc.{field}" in capsys.readouterr().err
+
+
+def test_mc_flags_override_the_spec_and_a_dash_reads_stdin(tmp_path, monkeypatch, capsys):
+    settings = {"dt": 4e-3, "horizon": 5.0}
+    flagged = write_spec(tmp_path, "flags.json",
+                         dict(NONFINITE_BASE, mc=dict(settings, paths=5000, seed=1)))
+    assert run(["mc", "--spec", flagged, "--seed", "7", "--paths", "300"]) == 0
+    by_flags = capsys.readouterr().out
+    assert json.loads(by_flags)["n_paths"] == 300
+    spec = dict(NONFINITE_BASE, mc=dict(settings, paths=300, seed=7))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    assert run(["mc", "--spec", "-"]) == 0
+    assert capsys.readouterr().out == by_flags
 
 
 def test_mc_integral_float_seed_runs_as_integer(tmp_path):

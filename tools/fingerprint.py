@@ -42,6 +42,11 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   fixtures, with a seeded ``MonteCarloProvider`` of a few hundred paths, and
   the exit code and output bytes of one ``eval-reflected`` and one
   ``eval-refracted`` command;
+* ``cli`` (printed after ``modified``): the exit code and output bytes of
+  ``eval`` on the ``golden_eval`` problem for every ``formula`` and every
+  extension kind (``affine_at_a`` with and without ``slope``), for a table
+  penalty and for a penalty that reads ``W(...)``, of seeded ``mc`` and
+  ``compare`` runs of a few hundred paths, and of ``scale``;
 * ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
   ``overshoot_of_w`` and ``membership`` run again right after their first
   run, with every ``ScaleFunction`` build and every membership report refused,
@@ -217,12 +222,13 @@ def overshoot_of_w_section():
 
 
 def cli_run(command, spec):
-    """The exit code and output bytes of ``levyfluct <command>`` on ``spec``."""
+    """The exit code and output bytes of ``levyfluct <command>`` on ``spec``;
+    its diagnostics on stderr are dropped."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(spec))
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--spec", "-"])
     finally:
         sys.stdin = saved
@@ -325,6 +331,30 @@ def modified_section():
     return d.hexdigest()
 
 
+CLI_FORMULAS = ("auto", "general", "simple", "zero_extension")
+CLI_EXTENSIONS = ({"kind": "zero"}, {"kind": "constant_one"}, {"kind": "affine_at_a"},
+                  {"kind": "affine_at_a", "slope": 0.5}, {"kind": "custom", "expr": "exp(y)"},
+                  {"kind": "scale_function"})
+CLI_PENALTIES = ({"f": {"table": {"y": [-5.0, -1.0, 0.0], "values": [0.2, 0.6, 1.0]}}},
+                 {"f": "exp(y) + W(0.5)", "extension": {"kind": "constant_one"}})
+CLI_MC = {"paths": MC_PATHS, "dt": 4e-3, "seed": 17, "horizon": 4.0}
+
+
+def cli_section():
+    d = Digest()
+    runs = [("eval", dict(GOLDEN_SPEC, formula=formula, penalty={"f": "exp(y)", "extension": ext}))
+            for formula in CLI_FORMULAS for ext in CLI_EXTENSIONS]
+    runs += [("eval", dict(GOLDEN_SPEC, formula="auto", penalty=penalty))
+             for penalty in CLI_PENALTIES]
+    runs += [(command, dict(GOLDEN_SPEC, mc=CLI_MC)) for command in ("mc", "compare")]
+    runs.append(("scale", {"model": GOLDEN_SPEC["model"], "q": 0.05,
+                           "grid": {"start": 0.1, "stop": 3.0, "n": 7}}))
+    for command, spec in runs:
+        code, text = cli_run(command, spec)
+        d.add(lambda: [code, *text])
+    return d.hexdigest()
+
+
 def memo_hits(section):
     """``section()`` with every ``ScaleFunction`` build and every membership
     report refused: one that no cache serves raises, and its type enters the
@@ -354,6 +384,7 @@ def main():
         "montecarlo": montecarlo_section,
         "membership": membership_section,
         "modified": modified_section,
+        "cli": cli_section,
     }
     equal = {}
     for name, fn in sections.items():

@@ -140,6 +140,9 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
         raise ModelError("need a < b")
     if isinstance(recipe, str):
         recipe = ExtensionRecipe(kind=recipe)
+    if recipe.kind == "scale_function" and a < 0:
+        # W^(q) is 0 below 0 and not smooth at 0: a jump, a kink or an infinite slope
+        raise ModelError(f"the scale_function extension needs a >= 0, got a = {a:g}")
     inside = a + (b - a) * np.array([0.25, 0.5, 0.75])
     f = penalty_function(f, a, b)
     f_at_a = float(f(a))
@@ -164,7 +167,7 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
         f_tilde = sf.w
         deriv = sf.w_prime
         second = sf.w_second
-        right_limit = float(sf.w(a)) if a > 0 else sf.w0
+        right_limit = float(sf.w(a))
     elif kind == "custom":
         if recipe.f_tilde is None:
             raise ModelError("custom recipe needs f_tilde")

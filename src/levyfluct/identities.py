@@ -106,18 +106,30 @@ def creeping_transform(sf, prob):
     return float(0.5 * sigma ** 2 * (sf.w_prime(x - a) - ratio * sf.w_prime(b - a)))
 
 
+# the width, in units of 1/|r|, of the panel a boundary layer of W gets
+LAYER = 40.0
+
+
 def _graded(sf, lo, hi, left, kinks=()):
     """Intervals and maps of the panel [lo, hi] cut at ``kinks``, mapped by ``left``.
 
     Where W is steep at 0+ (W(0) = 0 without a Gaussian part: W(y) grows like
     a fractional power of y), the panel is also cut at its midpoint and its
     right half mapped by RSQRT, which grades the end where a factor W(hi - z)
-    has its root-type singularity.  Smooth integrands keep the plain panels.
+    has its root-type singularity.  Where a closed form's W rises across a
+    layer 1/|r| wide at 0+ (``sf.layer_rate`` |r|; such a W is never steep)
+    and the panel is wider than 2 LAYER / |r|, it is cut LAYER / |r| below hi
+    instead: else the nodes can miss the layer of W(hi - z) and the quadrature
+    converge without it.  Smooth integrands keep the plain panels.
     """
-    steep = sf.w0 == 0.0 and sf.model.sigma == 0.0
-    mid = 0.5 * (lo + hi)
-    los, his = breaks(lo, hi, tuple(kinks) + ((mid,) if steep else ()))
-    return los, his, np.where(steep & (los >= mid), RSQRT, left)
+    if sf.w0 == 0.0 and sf.model.sigma == 0.0:
+        cut = 0.5 * (lo + hi)
+    elif (hi - lo) * sf.layer_rate > 2.0 * LAYER:
+        cut = hi - LAYER / sf.layer_rate
+    else:
+        cut = hi
+    los, his = breaks(lo, hi, tuple(kinks) + (cut,))
+    return los, his, np.where(los >= cut, RSQRT, left)
 
 
 def _resolvent_integral(sf, prob, G, kinks=()):

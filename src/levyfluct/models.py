@@ -565,7 +565,10 @@ def right_inverse_phi(model, q):
 
     Needed to place the Laplace-inversion contour and for scale-function
     growth rates.  The bracketed root is polished by Newton so that
-    psi(Phi(q)) = q to 1e-12 relative.
+    psi(Phi(q)) = q to 1e-12 relative to max(1, q, Phi psi'(Phi)); the last
+    term is psi's own rounding scale where it is steep, so the bound asks for
+    Phi to 1e-12 relative there.  A root that misses it raises
+    RootFindingError.
     """
     if q < 0:
         raise ModelError("q must be nonnegative")
@@ -599,6 +602,9 @@ def right_inverse_phi(model, q):
         phi -= step
         if abs(step) < 1e-16 * max(1.0, phi):
             break
+    resid = float(psi(phi)) - q
+    if not abs(resid) <= 1e-12 * max(1.0, q, phi * laplace_exponent_derivative(model, phi)):
+        raise RootFindingError(f"Phi({q:g}) = {phi:g} misses psi(Phi) = q by {resid:.3g}")
     return phi
 
 

@@ -14,8 +14,9 @@ along each path of the interleaved increments, in the per-step order: one
 cumsum, repeated for the state-dependent refracted drift until the steps it
 takes to start above the refraction level stop changing.  The
 reflection regulator is a running maximum and each path's first exit an
-argmax over the block.  Paths with no exit carry their last position into
-the next block.
+argmax over the block.  A block step writes each exit, the discounted
+regulator and the occupation histogram straight into the run's arrays; paths
+with no exit carry their last position into the next block.
 
 Determinism: paths are processed in fixed-size batches; batch j draws from a
 counter-based Philox stream keyed by (seed, j).  Batch outputs are combined
@@ -264,20 +265,6 @@ class _Block(NamedTuple):
     u_sup: Optional[np.ndarray]    # bridge-supremum uniforms (reflection)
 
 
-class _Steps(NamedTuple):
-    """One block's outcome: exit data for the paths that left, by block row."""
-
-    rows: np.ndarray               # block rows of the exiting paths
-    sides: np.ndarray
-    creep: np.ndarray
-    times: np.ndarray
-    positions: np.ndarray
-    last: np.ndarray               # per path: exit column, or k - 1
-    x_end: np.ndarray              # per path: position after the block
-    starts: np.ndarray             # (k, m) positions at the start of each step
-    xi: Optional[np.ndarray]       # per path: discounted regulator up to the exit
-
-
 class _Kernel:
     """Euler kernel shared by plain, refracted and reflected passage.
 
@@ -324,35 +311,17 @@ class _Kernel:
         return _Block(k, z, jumps, u, u_sup)
 
     def run(self, rng, nb):
-        x = np.full(nb, self.x0)
-        idx = np.arange(nb)
-        times = np.full(nb, self.horizon)
-        sides = np.full(nb, CAPPED, dtype=np.int8)
-        pos = np.full(nb, np.nan)
-        creep = np.zeros(nb, dtype=bool)
-        xi_acc = np.zeros(nb) if self.reflect else None
+        out = dict(times=np.full(nb, self.horizon), sides=np.full(nb, CAPPED, dtype=np.int8),
+                   pos=np.full(nb, np.nan), creep=np.zeros(nb, dtype=bool))
+        if self.reflect:
+            out["xi"] = np.zeros(nb)
         hist = np.zeros((nb, self.n_bins)) if self.n_bins else None
+        x, idx = np.full(nb, self.x0), np.arange(nb)
         step = 0
         while idx.size and step < self.n_steps:
             k = self.block_len(idx.size, step)
-            out = self.advance(x, step, self.draw(rng, idx.size, k))
-            if self.n_bins:
-                self._occupy(hist, idx, step, out)
-            if self.reflect:
-                xi_acc[idx] += out.xi
-            rows = idx[out.rows]
-            times[rows] = out.times
-            sides[rows] = out.sides
-            pos[rows] = out.positions
-            creep[rows] = out.creep
-            keep = np.ones(idx.size, dtype=bool)
-            keep[out.rows] = False
-            x = out.x_end[keep]
-            idx = idx[keep]
+            x, idx = self.advance(x, idx, step, self.draw(rng, idx.size, k), out, hist)
             step += k
-        out = dict(times=times, sides=sides, pos=pos, creep=creep)
-        if self.reflect:
-            out["xi"] = xi_acc
         if self.n_bins:
             out["hist"] = hist.sum(axis=0)
             out["hist_sq"] = (hist ** 2).sum(axis=0)
@@ -417,8 +386,14 @@ class _Kernel:
         """Bridge crossing probability exp(-2 gap0+ gap1+ / (sigma^2 dt))."""
         return np.exp(-2.0 * np.maximum(gap0, 0.0) * np.maximum(gap1, 0.0) / self.sig2dt)
 
-    def advance(self, x, step, blk):
-        """First exits of the paths started at ``x`` over the block ``blk``."""
+    def advance(self, x, idx, step, blk, out, hist):
+        """Step the paths ``idx``, started at ``x``, over the block ``blk``.
+
+        Writes each exiting path's time, side, position and creep flag into
+        the run's arrays ``out``, adds the block's discounted regulator and
+        e^{-qt} dt at each step's start bin (into ``hist``) up to the exit, and
+        returns the surviving paths' positions and ids.
+        """
         a, b, dt = self.a, self.b, self.dt
         start, pre, post = self._walk(x, blk)
         k, m = start.shape
@@ -444,7 +419,8 @@ class _Kernel:
         event = hit_up | hit_creep | (post < a)
 
         # per-path work only for the paths that exit in this block
-        rows = np.flatnonzero(event.any(axis=0))
+        exits = event.any(axis=0)
+        rows = np.flatnonzero(exits)
         first = event[:, rows].argmax(axis=0)
         up = hit_up[first, rows]
         crept = hit_creep[first, rows]
@@ -457,26 +433,27 @@ class _Kernel:
             if self.refract_level is not None:
                 drift = drift - self.delta * (x_up > self.refract_level)
             times[up] = t_now[up] + (b - x_up) / drift
-        sides = np.where(up, UP, DOWN).astype(np.int8)
-        positions = np.where(up, float(b), np.where(crept, float(a), post[first, rows]))
-        last = np.full(m, k - 1)
-        last[rows] = first
-        xi = None
+        gone = idx[rows]
+        out["times"][gone] = times
+        out["sides"][gone] = np.where(up, UP, DOWN)
+        out["pos"][gone] = np.where(up, float(b), np.where(crept, float(a), post[first, rows]))
+        out["creep"][gone] = crept
+        if self.reflect or hist is not None:
+            last = np.full(m, k - 1)
+            last[rows] = first
+            live = np.arange(k)[:, None] <= last     # the steps each path takes here
         if self.reflect:
             disc = np.array([math.exp(-self.q * ((step + j) * dt + 0.5 * dt))
                              for j in range(k)])
-            xi = np.sum(np.where(np.arange(k)[:, None] <= last, xi_inc * disc[:, None], 0.0),
-                        axis=0)
-        return _Steps(rows, sides, crept, times, positions, last, post[-1], start, xi)
-
-    def _occupy(self, hist, idx, step, out):
-        """Add e^{-qt} dt at each step's start bin up to the exit, in time order per path."""
-        k = out.starts.shape[0]
-        cols, rows = np.nonzero(np.arange(k)[:, None] <= out.last)
-        w = np.array([math.exp(-self.q * ((step + j) * self.dt)) * self.dt for j in range(k)])
-        bins = np.clip(((out.starts[cols, rows] - self.a) / self.bin_w).astype(np.int64),
-                       0, self.n_bins - 1)
-        np.add.at(hist.reshape(-1), idx[rows] * self.n_bins + bins, w[cols])
+            out["xi"][idx] += np.sum(np.where(live, xi_inc * disc[:, None], 0.0), axis=0)
+        if hist is not None:
+            # in time order per path, as the per-step recursion adds them
+            cols, paths = np.nonzero(live)
+            w = np.array([math.exp(-self.q * ((step + j) * dt)) * dt for j in range(k)])
+            bins = np.clip(((start[cols, paths] - a) / self.bin_w).astype(np.int64),
+                           0, self.n_bins - 1)
+            np.add.at(hist.reshape(-1), idx[paths] * self.n_bins + bins, w[cols])
+        return post[-1][~exits], idx[~exits]
 
 
 @functools.cache
@@ -514,10 +491,12 @@ def _simulate_kernel(model, a, b, x0, scheme, n_paths, q=0.0, **kind):
         horizon=kernel.horizon)
     if not kernel.n_bins:
         return samples, None
-    total = np.sum([r["hist"] for r in batches], axis=0)
-    total_sq = np.sum([r["hist_sq"] for r in batches], axis=0)
-    return samples, _histogram_to_resolvent(total, total_sq, samples, scheme, a, b,
-                                            kernel.n_bins)
+    n = samples.n_paths
+    mean = np.sum([r["hist"] for r in batches], axis=0) / n
+    var = np.maximum(np.sum([r["hist_sq"] for r in batches], axis=0) / n - mean ** 2, 0.0)
+    return samples, ResolventEstimate(
+        edges=np.linspace(a, b, kernel.n_bins + 1), density=mean / kernel.bin_w,
+        stderr=np.sqrt(var / n) / kernel.bin_w, samples=samples, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +524,13 @@ def _mean_stderr(vals):
     return mean, float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
+def _discounted_mean(samples, q, mask, weight=1.0):
+    """Mean and standard error of e^{-q tau} weight on the paths in ``mask``, 0 elsewhere."""
+    vals = np.zeros(samples.n_paths)
+    vals[mask] = np.exp(-q * samples.times[mask]) * weight
+    return _mean_stderr(vals)
+
+
 def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
                                   samples=None):
     """MC estimate of E_x[e^{-q tau_a^-} f(X at tau_a^-) 1{down exit first}].
@@ -557,8 +543,8 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
     _models.check_exit(a, b, q, x0)
     if samples is None:
         samples = simulate_first_passage(model, a, b, x0, scheme, n_paths, q=q)
-    vals = np.zeros(samples.n_paths)
     down = samples.sides == DOWN
+    fv = 1.0
     if np.any(down):
         posd = samples.positions[down]
         fv = np.asarray(penalty_function(f, a, b)(posd), dtype=float)
@@ -566,26 +552,19 @@ def estimate_overshoot_functional(model, f, a, b, q, x0, scheme, n_paths,
         if bad.size:
             raise HypothesisViolationError(
                 f"penalty f({posd[bad[0]]:g}) = {fv[bad[0]]} at an exit position")
-        vals[down] = np.exp(-q * samples.times[down]) * fv
-    mean, stderr = _mean_stderr(vals)
+    mean, stderr = _discounted_mean(samples, q, down, fv)
     return MCEstimate(mean=mean, stderr=stderr, n_paths=samples.n_paths,
                       scheme=scheme, capped_fraction=samples.capped_fraction)
 
 
 def estimate_exit_transform(samples, q, side=UP):
     """MC estimate of E[e^{-q tau} 1{exit on the given side}] from samples."""
-    vals = np.zeros(samples.n_paths)
-    mask = samples.sides == side
-    vals[mask] = np.exp(-q * samples.times[mask])
-    return _mean_stderr(vals)
+    return _discounted_mean(samples, q, samples.sides == side)
 
 
 def estimate_creeping(samples, q):
     """MC estimate of E[e^{-q tau} 1{hit the lower level exactly}]."""
-    vals = np.zeros(samples.n_paths)
-    mask = samples.creep
-    vals[mask] = np.exp(-q * samples.times[mask])
-    return _mean_stderr(vals)
+    return _discounted_mean(samples, q, samples.creep)
 
 
 def simulate_reflected(model, b, a, x0, scheme, n_paths, q=0.0, n_bins=0):
@@ -612,17 +591,6 @@ def simulate_refracted(model, delta, c, a, b, x0, scheme, n_paths, q=0.0, n_bins
     samples, res = _simulate_kernel(model, a, b, x0, scheme, n_paths, q=q,
                                     delta=delta, refract_level=c, n_bins=n_bins)
     return (samples, res) if n_bins else samples
-
-
-def _histogram_to_resolvent(total, total_sq, samples, scheme, a, b, n_bins):
-    n = samples.n_paths
-    bin_w = (b - a) / n_bins
-    mean = total / n
-    var = np.maximum(total_sq / n - mean ** 2, 0.0)
-    stderr = np.sqrt(var / n) / bin_w
-    edges = np.linspace(a, b, n_bins + 1)
-    return ResolventEstimate(edges=edges, density=mean / bin_w, stderr=stderr,
-                             samples=samples, scheme=scheme)
 
 
 def estimate_resolvent(model, a, b, q, x0, scheme, n_paths, n_bins=50):

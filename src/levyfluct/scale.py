@@ -52,7 +52,8 @@ _EULER_WEIGHTS /= 2.0 ** INVERSION_PARAMS["m_euler"]
 # holds about 200 KB, a closed form a few hundred bytes
 MEMO_ENTRIES = 16
 # what a build computes, by method: all that a ScaleFunction holds besides its inputs
-_BUILT = {"closed_form": ("phi", "w0", "tolerance_estimate", "_roots", "_coeffs"),
+_BUILT = {"closed_form": ("phi", "w0", "tolerance_estimate", "layer_rate", "_roots",
+                          "_coeffs"),
           "laplace_inversion": ("phi", "w0", "tolerance_estimate", "_interp", "_anti_nodes",
                                 "_anti_cum")}
 
@@ -192,6 +193,10 @@ class ScaleFunction:
     without the cache, and int_0^x W at points x > 0.
     """
 
+    # closed forms: |r| of the most negative root r of psi - q, next to whose
+    # e^{r x} W rises across a layer 1/|r| wide at 0+; 0 where none is known
+    layer_rate = 0.0
+
     def __init__(self, model, q, method="auto", x_max=10.0):
         q, x_max = float(q), float(x_max)
         if not 0.0 <= q < math.inf:
@@ -263,6 +268,7 @@ class ScaleFunction:
                 "nearly repeated roots of psi - q; use laplace_inversion", achieved=sep)
         dnum = np.polyder(num)
         self._roots = roots
+        self.layer_rate = max(0.0, -float(np.min(roots.real)))
         self._coeffs = np.polyval(den, roots) / np.polyval(dnum, roots)
         # the leading root must agree with Phi(q)
         lead = roots[np.argmax(roots.real)]
@@ -418,15 +424,18 @@ class ScaleFunction:
         """W(c - y) - W(c) at a float c and at y >= 0, without the plain difference's
         cancellation.
 
-        Closed forms sum c_i e^{r_i c} expm1(-r_i y) where c - y >= 0.  Where c - y
-        lies on the cache piece of c, W = e^{phi u} p(u) gives e^{phi c} [expm1(-phi y)
-        p(c - y) + p(c - y) - p(c)], with -y factored out of the cubic's difference.
+        Closed forms sum c_i e^{r_i c} expm1(-r_i y) where c - y >= 0, unless a
+        root has r_i c < -700 (``layer_rate``).  Where c - y lies on the cache
+        piece of c, W = e^{phi u} p(u) gives e^{phi c} [expm1(-phi y) p(c - y) +
+        p(c - y) - p(c)], with -y factored out of the cubic's difference.
         Elsewhere the plain difference.
         """
         y = np.asarray(y, dtype=float)
         u = c - y
         if self.method == "closed_form":
-            fine = u >= 0.0
+            # past c |r| = 700 the sum's e^{r c} underflows where expm1(-r y)
+            # overflows, and no point takes it
+            fine = u >= (0.0 if c * self.layer_rate <= 700.0 else math.inf)
             exact = np.real((np.exp(c * self._roots) * np.expm1(
                 np.multiply.outer(-y[fine], self._roots))) @ self._coeffs)
         else:

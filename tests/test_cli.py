@@ -316,6 +316,14 @@ def test_eval_scale_function_extension_matches_constant_one(tmp_path):
     assert scale["value"] == pytest.approx(stock["value"], abs=1e-6)
 
 
+def test_eval_scale_function_extension_below_zero_is_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "neg.json", {
+        "model": JD_MODEL, "penalty": {"f": "W(y)", "extension": {"kind": "scale_function"}},
+        "a": -0.5, "b": 1.5, "q": 0.05, "x": 0.5})
+    assert run(["eval", "--spec", spec]) == 2
+    assert "spec error: the scale_function extension needs a >= 0" in capsys.readouterr().err
+
+
 def test_eval_zero_extension_formula(tmp_path):
     zero = eval_value(tmp_path, "zero", formula="zero_extension", penalty={"f": "1"})
     stock = eval_value(tmp_path, "stock", penalty={

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_scale_function_is_harmonic_bounded_variation(catalog, scale_cache, rng)
     xs = 0.5 + 2.5 * rng.random(20)
     for x in xs:
         assert abs(apply_generator(p, model, 0.05, float(x))) < 1e-6
+
+
+def test_scale_function_extension_refuses_a_below_zero(catalog, scale_cache):
+    # W^(q) is 0 below 0 and not smooth at 0, so f~ = W leaves the admissible class
+    sf = scale_cache.get(catalog["jump_diffusion"], 0.05, x_max=4.0)
+    evaluated = mock.Mock(side_effect=AssertionError("evaluated"))
+    with mock.patch.object(sf, "w", evaluated), pytest.raises(ModelError, match="a >= 0"):
+        extend_penalty(evaluated, -0.5, 1.5, ExtensionRecipe(kind="scale_function", scale=sf))
+    evaluated.assert_not_called()
 
 
 def test_scale_function_is_harmonic_gaussian_case(catalog, scale_cache):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levyfluct import (ModelError, SpecError, brownian_motion,
+from levyfluct import (ModelError, RootFindingError, SpecError, brownian_motion,
                        laplace_exponent, laplace_exponent_derivative,
                        model_from_dict, path_variation, right_inverse_phi,
                        table_jumps)
@@ -102,6 +102,20 @@ def test_phi_defining_property_and_monotonicity(catalog):
             assert abs(resid) <= 1e-12 * max(1.0, q), name
             assert phi >= prev, name
             prev = phi
+
+
+def test_phi_that_misses_its_residual_raises():
+    # brentq's absolute xtol stops at 0, where psi'(0) = 1e-300; the Newton
+    # polish stepped to 1, 0.5 and 0.25, and psi(0.25) - q read 0.031
+    with pytest.raises(RootFindingError, match="misses"):
+        right_inverse_phi(brownian_motion(1e-300, 1.0), 1e-300)
+
+
+def test_phi_of_a_steep_exponent_is_kept():
+    # psi' = 50 at Phi = 1e4, where one ulp of Phi moves psi by 9e-11: the
+    # residual 5.8e-11 is psi's rounding, and Phi is the quadratic's root
+    phi = right_inverse_phi(brownian_motion(-50.0, 0.1), 1.0)
+    assert phi == pytest.approx((50.0 + math.sqrt(2500.0 + 2.0 * 0.01)) / 0.01, rel=1e-15)
 
 
 def test_phi_nonzero_at_zero_for_downward_drifter(catalog):

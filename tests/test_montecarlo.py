@@ -444,6 +444,8 @@ KERNEL_CASES = {
     "refracted_cramer_lundberg": ("cramer_lundberg", True,
                                   dict(delta=0.15, refract_level=1.0)),
     "refracted_pure_drift": ("pure_drift", True, dict(delta=0.15, refract_level=1.0)),
+    "refracted_tempered_stable_hist": ("tempered_stable", True,
+                                       dict(delta=0.15, refract_level=1.0, n_bins=30)),
 }
 
 

@@ -47,6 +47,14 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   extension kind (``affine_at_a`` with and without ``slope``), for a table
   penalty and for a penalty that reads ``W(...)``, of seeded ``mc`` and
   ``compare`` runs of a few hundred paths, and of ``scale``;
+* ``estimates`` (printed after ``cli``): on the ``montecarlo`` section's
+  samples, ``estimate_overshoot_functional`` for f = 1 and f = e^y (mean,
+  stderr, path count and capped fraction), ``estimate_exit_transform`` on
+  each side and ``estimate_creeping``, and ``estimate_resolvent``'s edges,
+  density and standard errors; then samples with no down exit, estimated
+  with a penalty that raises if called, and a penalty that is infinite where
+  the Brownian fixture's down exits land, which raises
+  ``HypothesisViolationError``;
 * ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
   ``overshoot_of_w`` and ``membership`` run again right after their first
   run, with every ``ScaleFunction`` build and every membership report refused,
@@ -355,6 +363,40 @@ def cli_section():
     return d.hexdigest()
 
 
+def estimate_numbers(est):
+    """The numbers of an ``MCEstimate``."""
+    return [est.mean, est.stderr, est.n_paths, est.capped_fraction]
+
+
+def never_called(y):
+    raise AssertionError("the penalty was called with no down exit")
+
+
+def estimates_section():
+    d = Digest()
+    a, b, q, x = MC_POINT
+    for model in models.canonical_models().values():
+        samples = montecarlo.simulate_first_passage(model, a, b, x, MC_SCHEME, MC_PATHS, q)
+        for f in (one, np.exp):
+            d.add(lambda: estimate_numbers(montecarlo.estimate_overshoot_functional(
+                model, f, a, b, q, x, MC_SCHEME, MC_PATHS, samples)))
+        for side in (montecarlo.UP, montecarlo.DOWN):
+            d.add(montecarlo.estimate_exit_transform, samples, q, side)
+        d.add(montecarlo.estimate_creeping, samples, q)
+        res = montecarlo.estimate_resolvent(model, a, b, q, x, MC_SCHEME, MC_PATHS, MC_BINS)
+        d.add(lambda: np.concatenate([res.edges, res.density, res.stderr]))
+    up_only = montecarlo.ExitSamples(
+        times=np.array([0.5, 1.5, 4.0]), sides=np.array([1, 1, 0], dtype=np.int8),
+        positions=np.array([b, b, np.nan]), creep=np.zeros(3, dtype=bool), horizon=4.0)
+    d.add(lambda: estimate_numbers(montecarlo.estimate_overshoot_functional(
+        model, never_called, a, b, q, x, MC_SCHEME, 3, up_only)))
+    # every Brownian down exit creeps onto a
+    brownian = models.canonical_models()["brownian"]
+    d.add(lambda: estimate_numbers(montecarlo.estimate_overshoot_functional(
+        brownian, lambda y: np.where(y == a, np.inf, 1.0), a, b, q, x, MC_SCHEME, MC_PATHS)))
+    return d.hexdigest()
+
+
 def memo_hits(section):
     """``section()`` with every ``ScaleFunction`` build and every membership
     report refused: one that no cache serves raises, and its type enters the
@@ -385,6 +427,7 @@ def main():
         "membership": membership_section,
         "modified": modified_section,
         "cli": cli_section,
+        "estimates": estimates_section,
     }
     equal = {}
     for name, fn in sections.items():

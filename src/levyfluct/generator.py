@@ -60,7 +60,8 @@ class ExtendedPenalty:
 
     ``h`` is the regularised combination used inside generator integrals:
     f below a, f_tilde above a, and f_tilde(a+) at a itself.  ``f_at_a``
-    keeps the true penalty value for the creeping correction.
+    keeps the true penalty value for the creeping correction; the membership
+    report bounds f~' and f~'' on its own grid.
     """
 
     a: float
@@ -73,8 +74,6 @@ class ExtendedPenalty:
     f_at_a: float
     continuous_at_a: bool
     smooth_junction: bool          # bounded density of h in a two-sided neighbourhood of a
-    deriv_bound: float
-    second_bound: float
     kinks: tuple = ()              # y-locations where h is not smooth (quadrature breaks)
     # f_tilde reproduces f just below a, so h is one smooth function across a
     continues_f: bool = False
@@ -198,8 +197,6 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
     right = float(deriv(a + 1e-6 * (b - a)))
     smooth_junction = bool(continuous and abs(left) < _LARGE and abs(right) < _LARGE)
 
-    deriv_bound = _grid_bound(deriv, a, b)
-    second_bound = _grid_bound(second, a, b)
     kinks = tuple(sorted(set(float(k) for k in f_kinks)
                          | ({a} if not continuous else set())))
     below = a - SMALL_CUT * np.array([1.0, 0.75, 0.5, 0.25, 0.0])
@@ -213,8 +210,7 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
     return ExtendedPenalty(
         a=float(a), b=float(b), f=f, f_tilde=f_tilde, f_tilde_left_deriv=deriv,
         f_tilde_second=second, right_limit_at_a=right_limit, f_at_a=f_at_a,
-        continuous_at_a=continuous, smooth_junction=smooth_junction,
-        deriv_bound=deriv_bound, second_bound=second_bound, kinks=kinks,
+        continuous_at_a=continuous, smooth_junction=smooth_junction, kinks=kinks,
         continues_f=continues_f, recipe=kind, compensated_diff=comp_diff)
 
 
@@ -285,7 +281,8 @@ def _membership_report(penalty, model):
     delta = (b - a) * 1e-7
     probe = ys[:-1]
     jumps = np.abs(penalty.f_tilde(probe + delta) - penalty.f_tilde(probe))
-    jump_tol = max(MEMBERSHIP_TOL, 10.0 * (1.0 + penalty.deriv_bound) * delta)
+    deriv_bound = _grid_bound(penalty.f_tilde_left_deriv, a, b)
+    jump_tol = max(MEMBERSHIP_TOL, 10.0 * (1.0 + deriv_bound) * delta)
     items.append(CheckItem("continuous_on_ab", bool(np.max(jumps) <= jump_tol),
                            float(np.max(jumps)),
                            f"max grid jump {np.max(jumps):.3g} (tol {jump_tol:.3g})"))
@@ -309,7 +306,7 @@ def _membership_report(penalty, model):
 
     unbounded = _models.path_variation(model) == "unbounded"
     if unbounded:
-        sb = penalty.second_bound
+        sb = _grid_bound(penalty.f_tilde_second, a, b)
         items.append(CheckItem("second_derivative_bounded",
                                bool(math.isfinite(sb) and sb < _LARGE), sb,
                                f"sup |h''| on grid = {sb:.4g}"))

@@ -73,11 +73,16 @@ def two_sided_exit_up(sf, prob):
     """E_x[e^{-q tau_b^+} 1{tau_b^+ < tau_a^-}] = W(x-a)/W(b-a).
 
     The ratio of every identity here; ``ModelError`` unless ``sf`` is W^(q)
-    at the problem's rate q.
+    at the problem's rate q, and ``NumericalAccuracyError`` where W(b - a)
+    is not finite.
     """
     if sf.q != prob.q:
         raise ModelError(f"scale function built at q = {sf.q:g} for a problem at q = {prob.q:g}")
-    return float(sf.w(prob.x - prob.a) / sf.w(prob.b - prob.a))
+    w_ba = sf.w(prob.b - prob.a)
+    if not np.isfinite(w_ba):
+        raise NumericalAccuracyError(f"W^(q)(b - a) = {w_ba} is not finite at Phi(q) (b - a) "
+                                     f"= {sf.phi * (prob.b - prob.a):.4g}")
+    return float(sf.w(prob.x - prob.a) / w_ba)
 
 
 def resolvent_density(sf, prob, z):
@@ -106,28 +111,29 @@ def creeping_transform(sf, prob):
     return float(0.5 * sigma ** 2 * (sf.w_prime(x - a) - ratio * sf.w_prime(b - a)))
 
 
-# the width, in units of 1/|r|, of the panel a boundary layer of W gets
+# the width, in layer widths, of the panel a boundary layer of W gets
 LAYER = 40.0
 
 
 def _graded(sf, lo, hi, left, kinks=()):
     """Intervals and maps of the panel [lo, hi] cut at ``kinks``, mapped by ``left``.
 
-    Where W is steep at 0+ (W(0) = 0 without a Gaussian part: W(y) grows like
-    a fractional power of y), the panel is also cut at its midpoint and its
-    right half mapped by RSQRT, which grades the end where a factor W(hi - z)
-    has its root-type singularity.  Where a closed form's W rises across a
-    layer 1/|r| wide at 0+ (``sf.layer_rate`` |r|; such a W is never steep)
-    and the panel is wider than 2 LAYER / |r|, it is cut LAYER / |r| below hi
-    instead: else the nodes can miss the layer of W(hi - z) and the quadrature
-    converge without it.  Smooth integrands keep the plain panels.
+    Where W is steep at 0+ (W(0) = 0 without a Gaussian part: W(y) grows like a
+    fractional power of y), the panel is also cut at its midpoint and its right
+    half mapped by RSQRT, which grades the end where a factor W(hi - z) has its
+    root-type singularity.  Where sigma > 0, W rises from 0 with slope
+    2/sigma^2 while e^{-Phi y} W(y) levels off at 1/psi'(Phi): under either
+    method, a layer sigma^2 / (2 psi'(Phi)) wide at 0+.  A panel wider than 2
+    LAYER widths is cut LAYER widths below hi, else the nodes can miss the
+    layer of W(hi - z) and the quadrature converge without it.  Smooth
+    integrands keep the plain panels.
     """
-    if sf.w0 == 0.0 and sf.model.sigma == 0.0:
-        cut = 0.5 * (lo + hi)
-    elif (hi - lo) * sf.layer_rate > 2.0 * LAYER:
-        cut = hi - LAYER / sf.layer_rate
+    sigma = sf.model.sigma
+    if sigma == 0.0:
+        cut = 0.5 * (lo + hi) if sf.w0 == 0.0 else hi
     else:
-        cut = hi
+        rate = 2.0 * _models.laplace_exponent_derivative(sf.model, sf.phi) / sigma ** 2
+        cut = hi - LAYER / rate if (hi - lo) * rate > 2.0 * LAYER else hi
     los, his = breaks(lo, hi, tuple(kinks) + (cut,))
     return los, his, np.where(los >= cut, RSQRT, left)
 

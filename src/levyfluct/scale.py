@@ -52,8 +52,7 @@ _EULER_WEIGHTS /= 2.0 ** INVERSION_PARAMS["m_euler"]
 # holds about 200 KB, a closed form a few hundred bytes
 MEMO_ENTRIES = 16
 # what a build computes, by method: all that a ScaleFunction holds besides its inputs
-_BUILT = {"closed_form": ("phi", "w0", "tolerance_estimate", "layer_rate", "_roots",
-                          "_coeffs"),
+_BUILT = {"closed_form": ("phi", "w0", "tolerance_estimate", "_roots", "_coeffs"),
           "laplace_inversion": ("phi", "w0", "tolerance_estimate", "_interp", "_anti_nodes",
                                 "_anti_cum")}
 
@@ -190,12 +189,9 @@ class ScaleFunction:
     ``q`` must be finite and nonnegative and ``x_max`` finite and positive
     (``ModelError`` otherwise, before any work).  The method is settled here:
     ``_w_kernel``, ``_exact_kernel`` and ``_anti_kernel`` evaluate W, W
-    without the cache, and int_0^x W at points x > 0.
+    without the cache, and int_0^x W at points x > 0.  An instance holds its
+    inputs and what ``_BUILT`` names, nothing derived from them.
     """
-
-    # closed forms: |r| of the most negative root r of psi - q, next to whose
-    # e^{r x} W rises across a layer 1/|r| wide at 0+; 0 where none is known
-    layer_rate = 0.0
 
     def __init__(self, model, q, method="auto", x_max=10.0):
         q, x_max = float(q), float(x_max)
@@ -268,7 +264,6 @@ class ScaleFunction:
                 "nearly repeated roots of psi - q; use laplace_inversion", achieved=sep)
         dnum = np.polyder(num)
         self._roots = roots
-        self.layer_rate = max(0.0, -float(np.min(roots.real)))
         self._coeffs = np.polyval(den, roots) / np.polyval(dnum, roots)
         # the leading root must agree with Phi(q)
         lead = roots[np.argmax(roots.real)]
@@ -425,8 +420,8 @@ class ScaleFunction:
         cancellation.
 
         Closed forms sum c_i e^{r_i c} expm1(-r_i y) where c - y >= 0, unless a
-        root has r_i c < -700 (``layer_rate``).  Where c - y lies on the cache
-        piece of c, W = e^{phi u} p(u) gives e^{phi c} [expm1(-phi y) p(c - y) +
+        root has r_i c < -700.  Where c - y lies on the cache piece of c,
+        W = e^{phi u} p(u) gives e^{phi c} [expm1(-phi y) p(c - y) +
         p(c - y) - p(c)], with -y factored out of the cubic's difference.
         Elsewhere the plain difference.
         """
@@ -435,7 +430,7 @@ class ScaleFunction:
         if self.method == "closed_form":
             # past c |r| = 700 the sum's e^{r c} underflows where expm1(-r y)
             # overflows, and no point takes it
-            fine = u >= (0.0 if c * self.layer_rate <= 700.0 else math.inf)
+            fine = u >= (0.0 if -c * np.min(self._roots.real) <= 700.0 else math.inf)
             exact = np.real((np.exp(c * self._roots) * np.expm1(
                 np.multiply.outer(-y[fine], self._roots))) @ self._coeffs)
         else:

@@ -351,6 +351,21 @@ def test_eval_divergent_jump_tail_is_numerical_failure(tmp_path, capsys):
     assert "divergent jump-tail integral at z = " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_eval_overflowing_scale_function_is_numerical_failure(tmp_path, capsys):
+    # Phi(q) (b - a) = 1159: W^(q)(b - a) overflows a float
+    spec = write_spec(tmp_path, "overflow.json", {
+        "model": {"gamma": -0.5, "sigma": 0.05,
+                  "measure": {"family": "table", "theta": [0.5, 1.0, 2.0],
+                              "pi": [0.5, 0.3, 0.1]}},
+        "penalty": {"f": "exp(y)", "extension": {"kind": "zero"}},
+        "a": 0, "b": 4, "q": 1, "x": 2, "formula": "general"})
+    assert run(["eval", "--spec", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: W^(q)(b - a) = inf is not finite" in captured.err
+
+
 def test_refracted_without_w_builds_no_scale_function(tmp_path, monkeypatch):
     import levyfluct.cli as cli
 

@@ -9,7 +9,7 @@ import pytest
 from levyfluct import (ConditionNotMetError, ExitProblem, ExtensionRecipe,
                        ModelError, RefractedSpec, ReflectedSpec, ScaleFunction,
                        boundary_start, brownian_motion, check_membership,
-                       creeping_transform, extend_penalty, mass_balance_gap,
+                       creeping_transform, extend_penalty, jump_diffusion, mass_balance_gap,
                        overshoot_functional_general, overshoot_functional_simple,
                        overshoot_of_scale_function, overshoot_zero_extension,
                        resolvent_density, two_sided_exit_up)
@@ -557,3 +557,18 @@ def test_general_identity_checks_membership_once_across_starts(catalog, scale_ca
     for x in (0.5, 1.0, 1.5):
         overshoot_functional_general(p, sf, ExitProblem(A, B, 0.05, x))
     assert built == [model]
+
+
+@pytest.mark.parametrize("method", ["closed_form", "laplace_inversion"])
+@pytest.mark.parametrize("model, q, b, x_max, x", [
+    # W's Gaussian layer at 0+ is sigma^2 / (2 psi'(Phi)) = 6.4e-4 wide; rows
+    # whose nodes miss it converge to a gap of 3.6e-5
+    (brownian_motion(2.0, 0.05078125), 1.0, 5.0, 6.0, 0.625),
+    # the closed form's root -200 is a jump root whose coefficient carries the
+    # factor r + 200 = -0.03: no layer is cut for it
+    (jump_diffusion(0.3, 1.0, 3.0, 200.0), 0.05, 2.0, 10.0, 1.0),
+], ids=["gaussian_layer", "jump_root"])
+def test_mass_balance_across_the_boundary_layer_under_both_methods(model, q, b, x_max, x,
+                                                                   method):
+    sf = ScaleFunction(model, q, method=method, x_max=x_max)
+    assert mass_balance_gap(sf, ExitProblem(0.0, b, q, x)) <= 1e-6

@@ -55,6 +55,12 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   with a penalty that raises if called, and a penalty that is infinite where
   the Brownian fixture's down exits land, which raises
   ``HypothesisViolationError``;
+* ``layer`` (printed after ``estimates``): ``mass_balance_gap`` and the value
+  and accuracy of the general identity for f = e^y (``constant_one``
+  extension) under each method at the boundary-layer points of
+  ``tests/test_identities.py``: a Brownian motion whose W rises across a
+  Gaussian layer 6.4e-4 wide, and a jump diffusion with a jump root of -200,
+  so that a move of ``identities._graded``'s cut shows;
 * ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
   ``overshoot_of_w`` and ``membership`` run again right after their first
   run, with every ``ScaleFunction`` build and every membership report refused,
@@ -397,6 +403,24 @@ def estimates_section():
     return d.hexdigest()
 
 
+# (model, q, x_max, (a, b, x)) of the boundary-layer points
+LAYER_POINTS = ((models.brownian_motion(2.0, 0.05078125), 1.0, 6.0, (0.0, 5.0, 0.625)),
+                (models.jump_diffusion(0.3, 1.0, 3.0, 200.0), 0.05, 10.0, (0.0, 2.0, 1.0)))
+
+
+def layer_section():
+    d = Digest()
+    for model, q, x_max, (a, b, x) in LAYER_POINTS:
+        prob = identities.ExitProblem(a, b, q, x)
+        penalty = generator.extend_penalty(np.exp, a, b, "constant_one")
+        for method in ("closed_form", "laplace_inversion"):
+            sf = ScaleFunction(model, q, method, x_max)
+            d.add(identities.mass_balance_gap, sf, prob)
+            d.add(lambda: value_numbers(identities.overshoot_functional_general(penalty, sf,
+                                                                                prob)))
+    return d.hexdigest()
+
+
 def memo_hits(section):
     """``section()`` with every ``ScaleFunction`` build and every membership
     report refused: one that no cache serves raises, and its type enters the
@@ -428,6 +452,7 @@ def main():
         "modified": modified_section,
         "cli": cli_section,
         "estimates": estimates_section,
+        "layer": layer_section,
     }
     equal = {}
     for name, fn in sections.items():

@@ -182,8 +182,12 @@ def cmd_scale(spec, args):
     xs = np.linspace(start, stop, n)
     if np.any(xs <= 0):
         raise SpecError("grid points must be positive", field="grid")
-    sf = ScaleFunction(model, q, x_max=float(xs.max()) + 1.0)
-    columns = {"x": xs, "W": sf.w(xs), "W_prime": sf.w_prime(xs), "Z": sf.z(xs)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        sf = ScaleFunction(model, q, x_max=float(xs.max()) + 1.0)
+        columns = {"x": xs, "W": sf.w(xs), "W_prime": sf.w_prime(xs), "Z": sf.z(xs)}
+    bad = ~np.all(np.isfinite(list(columns.values())), axis=0)
+    if bad.any():
+        raise NumericalAccuracyError(f"W, W' or Z is not finite at grid point x = {xs[bad][0]:g}")
     payload = [dict(zip(columns, map(float, vals))) for vals in zip(*columns.values())]
     print(f"method={sf.method} phi={sf.phi:.12g} "
           f"tolerance_estimate={sf.tolerance_estimate:.3g}", file=sys.stderr)

@@ -24,7 +24,7 @@ import numpy as np
 from . import models as _models
 from .errors import (ConditionNotMetError, HypothesisViolationError, ModelError,
                      NumericalAccuracyError)
-from .quadrature import LOG, PLAIN, TAIL, check_rows, quad_rows
+from .quadrature import LOG, PLAIN, TAIL, check_rows, quad_rows, stencil
 
 _LARGE = 1e8
 # membership spot checks: grid on (a, b], continuity tolerance, and the tail
@@ -43,7 +43,9 @@ class ExtensionRecipe:
 
     kinds: 'zero', 'constant_one', 'affine_at_a' (f'_-(a) y + f(a)),
     'scale_function' (W^(q), for overshoot-of-scale-function identities),
-    'custom' (user callables).
+    'custom' (user callables; a missing ``f_tilde_deriv`` or ``f_tilde_second``
+    is ``quadrature.stencil`` of ``f_tilde`` with origin a and scale b - a, which
+    is the left derivative wherever f~ is differentiable).
     """
 
     kind: str
@@ -171,21 +173,9 @@ def extend_penalty(f, a, b, recipe, f_kinks=()):
         if recipe.f_tilde is None:
             raise ModelError("custom recipe needs f_tilde")
         f_tilde = array_function(recipe.f_tilde, inside)
-        deriv = recipe.f_tilde_deriv
-        if deriv is None:
-            step = 1e-6 * (b - a)
-            deriv = lambda y, _s=step: (f_tilde(np.minimum(y, b)) - f_tilde(y - _s)) / _s
-        else:
-            deriv = array_function(deriv, inside)
-        second = recipe.f_tilde_second
-        if second is None:
-            step2 = 1e-5 * (b - a)
-
-            def second(y, _s=step2):
-                y = np.clip(y, a + 2 * _s, b - 2 * _s)
-                return (f_tilde(y + _s) - 2.0 * f_tilde(y) + f_tilde(y - _s)) / (_s * _s)
-        else:
-            second = array_function(second, inside)
+        deriv, second = (array_function(given, inside) if given is not None
+                         else (lambda y, k=k: stencil(f_tilde, y, k, a, b - a))
+                         for k, given in ((1, recipe.f_tilde_deriv), (2, recipe.f_tilde_second)))
         right_limit = float(f_tilde(a + 1e-12 * max(1.0, abs(a))))
     else:
         raise ModelError(f"unknown extension kind {kind!r}")

@@ -8,6 +8,8 @@ panel tolerance; anything worse raises ``NumericalAccuracyError``.
 ``quad_rows`` integrates many independent rows at once with the 21-point
 Gauss-Kronrod pair of QUADPACK's ``qags``, evaluating the new nodes of every
 row in one integrand call; the generator and the identities run on it.
+``stencil`` is the one difference rule: W' and W'' under the inversion method
+and a ``custom`` extension's f~' and f~'' where its recipe gives none.
 """
 
 from __future__ import annotations
@@ -132,6 +134,23 @@ def exp_moments(phi, h):
         prev = (hb ** k * e - k * prev) / pb
         mom[k, ~small] = prev
     return mom
+
+
+def stencil(func, x, order, origin, scale):
+    """Central difference for d^order func / dx^order, order 1 or 2, at x > origin:
+    step s max(scale, x - origin), s = 1e-6 (order 1) or 1e-5 (order 2), shrunk to
+    (x - origin)/4 where the stencil would reach origin; one Richardson step for
+    order 1, the 3-point difference for order 2.  Wherever ``func`` is
+    differentiable this is its left derivative, up to truncation and roundoff."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    d = xs - origin
+    h = (1e-6 if order == 1 else 1e-5) * np.maximum(scale, d)
+    h = np.where(d - 2.0 * h <= 0.0, d / 4.0, h)
+    offsets = np.array([1.0, -1.0, 0.5, -0.5] if order == 1 else [1.0, 0.0, -1.0])
+    v = np.reshape(func((xs + offsets[:, None] * h).ravel()), (offsets.size, -1))
+    out = ((4.0 * ((v[2] - v[3]) / h) - (v[0] - v[1]) / (2.0 * h)) / 3.0 if order == 1
+           else (v[0] - 2.0 * v[1] + v[2]) / (h * h))
+    return out.reshape(np.shape(x))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from scipy.special import binom
 from . import models as _models
 from .errors import ModelError, NumericalAccuracyError
 # tests import the moment series from here under its old name
-from .quadrature import SQRT, exp_moments as _exp_moments, quad, quad_rows
+from .quadrature import SQRT, exp_moments as _exp_moments, quad, quad_rows, stencil
 
 _CLOSED_FORM_FAMILIES = ("none", "exponential")
 # Euler summation settings, and the number of nodes in the inversion cache
@@ -384,23 +384,14 @@ class ScaleFunction:
             out[pos] = kernel(xs[pos])
         return out.item() if x.ndim == 0 else out
 
-    def _derivative(self, x, power, step, offsets, combine):
-        """d^power W / dx^power at x > 0, exact for closed forms; x <= 0 or NaN raises.
-
-        The inversion method returns ``combine(h, *W(x + offsets * h))`` with
-        h = max(step, step * x), shrunk to x/4 where the stencil would cross 0
-        (W has a kink there).
-        """
+    def _derivative(self, x, power):
+        """d^power W / dx^power at x > 0: exact for closed forms, else ``quadrature.stencil``
+        of ``w`` with origin 0 (W's kink) and scale 1.  x <= 0 or NaN raises."""
         x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x)
-        if not np.all(xs > 0):
+        if not np.all(x > 0):
             raise ValueError("derivatives of W^(q) require x > 0")
-        if self.method == "closed_form":
-            out = self._pf_sum(xs, power=power)
-        else:
-            h = np.maximum(step, step * xs)
-            h = np.where(xs - 2.0 * h <= 0.0, xs / 4.0, h)
-            out = combine(h, *self.w(xs + np.array(offsets)[:, None] * h))
+        out = (self._pf_sum(x, power=power) if self.method == "closed_form"
+               else stencil(self.w, x, power, 0.0, 1.0))
         return out.item() if x.ndim == 0 else out
 
     def w(self, x):
@@ -448,20 +439,15 @@ class ScaleFunction:
         return out if out.ndim else out.item()
 
     def w_prime(self, x):
-        """Left-derivative of W^(q) at x > 0.
-
-        Closed forms differentiate exactly; the inversion method uses central
-        differences with one Richardson refinement.
-        """
-        return self._derivative(
-            x, 1, 1e-6, (1.0, -1.0, 0.5, -0.5),
-            lambda h, w_p, w_m, w_ph, w_mh: (4.0 * ((w_ph - w_mh) / h)
-                                             - (w_p - w_m) / (2.0 * h)) / 3.0)
+        """Left-derivative of W^(q) at x > 0: exact for closed forms, else the central
+        difference of ``quadrature.stencil`` (step 1e-6 max(1, x), one Richardson
+        step), which is the left derivative wherever W is differentiable."""
+        return self._derivative(x, 1)
 
     def w_second(self, x):
-        """Second derivative of W^(q) at x > 0; exact for closed forms, differences otherwise."""
-        return self._derivative(x, 2, 1e-5, (1.0, 0.0, -1.0),
-                                lambda h, w_p, w_0, w_m: (w_p - 2.0 * w_0 + w_m) / (h * h))
+        """Second derivative of W^(q) at x > 0; exact for closed forms, the 3-point
+        difference of ``quadrature.stencil`` (step 1e-5 max(1, x)) otherwise."""
+        return self._derivative(x, 2)
 
     def z(self, x):
         """Z^(q)(x) = 1 + q int_0^x W^(q)(u) du; equals 1 for x <= 0."""

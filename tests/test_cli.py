@@ -307,6 +307,21 @@ def test_eval_custom_extension_from_expression_only(tmp_path):
     assert custom["value"] == pytest.approx(stock["value"], abs=1e-4)
 
 
+@pytest.mark.parametrize("model", [
+    JD_MODEL, {"gamma": 0.25, "sigma": 1.0, "measure": {"family": "none"}},
+    {"gamma": 0.35, "sigma": 0.0,
+     "measure": {"family": "tempered_stable", "c": 0.08, "alpha": 1.5, "rho": 1.0}}],
+    ids=["jump_diffusion", "brownian", "tempered_stable"])
+def test_eval_custom_extension_matches_the_zero_extension(tmp_path, model):
+    # the identity does not depend on the extension: the custom route's
+    # differenced derivatives of e^y must not move it off the zero route
+    custom, zero = (eval_value(tmp_path, name, model=model, formula="general", penalty={
+        "f": "exp(y)", "extension": ext})
+        for name, ext in (("custom", {"kind": "custom", "expr": "exp(y)"}),
+                          ("zero", {"kind": "zero"})))
+    assert abs(custom["value"] - zero["value"]) <= 1e-7
+
+
 def test_eval_scale_function_extension_matches_constant_one(tmp_path):
     scale = eval_value(tmp_path, "scale", penalty={
         "f": "1", "extension": {"kind": "scale_function"}})
@@ -364,6 +379,18 @@ def test_eval_overflowing_scale_function_is_numerical_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure: W^(q)(b - a) = inf is not finite" in captured.err
+
+
+def test_scale_overflowing_grid_is_numerical_failure(tmp_path, capsys):
+    # Phi(q) = 290: W^(q) overflows a float from x = 3 on
+    spec = write_spec(tmp_path, "overflow.json", {
+        "model": {"gamma": -0.5, "sigma": 0.05,
+                  "measure": {"family": "table", "theta": [0.5, 1, 2], "pi": [0.5, 0.3, 0.1]}},
+        "q": 1, "grid": {"start": 1, "stop": 4, "n": 4}})
+    assert run(["scale", "--spec", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "W, W' or Z is not finite at grid point x = 3" in captured.err
 
 
 def test_refracted_without_w_builds_no_scale_function(tmp_path, monkeypatch):

@@ -292,6 +292,18 @@ def test_generator_domain_errors(catalog):
         apply_generator(p, model, 0.05, B + 0.1)
 
 
+def test_custom_recipe_without_derivatives_differences_centrally():
+    # e^y on [0, 2]: the stencil's f~' and f~'' against the exact derivatives,
+    # from the step's shrink near a to b, which the reflected identity reads;
+    # f~'' skips 1e-6, where the shrunk step leaves eps / h^2 = 4e-3 of roundoff
+    p = extend_penalty(np.exp, A, B, ExtensionRecipe(kind="custom", f_tilde=np.exp))
+    ys = np.array([1e-6, 1e-3, 0.01, 0.3, 1.0, 1.7, 1.99, 2.0])
+    np.testing.assert_allclose(p.f_tilde_left_deriv(ys), np.exp(ys), rtol=1e-8, atol=0.0)
+    inner = ys[1:]
+    np.testing.assert_allclose(p.f_tilde_second(inner), np.exp(inner), rtol=1e-4, atol=0.0)
+    assert p.f_tilde_left_deriv(1.0) == pytest.approx(math.e, rel=1e-8)
+
+
 def test_custom_recipe_requires_f_tilde():
     with pytest.raises(ModelError):
         extend_penalty(ONE, A, B, ExtensionRecipe(kind="custom"))

@@ -61,6 +61,11 @@ its type name), so equal digests mean bit-identical numbers.  Sections:
   ``tests/test_identities.py``: a Brownian motion whose W rises across a
   Gaussian layer 6.4e-4 wide, and a jump diffusion with a jump root of -200,
   so that a move of ``identities._graded``'s cut shows;
+* ``custom`` (printed after ``layer``): f~' and f~'' of the ``custom``
+  extension e^y on [0, 2] given no derivatives, which ``quadrature.stencil``
+  differences, on a grid from 1e-7 to b, and the value and accuracy of the
+  general identity for f = e^y with that extension at the ``golden_eval``
+  point (a = 0, b = 2, q = 0.05, x = 1) on the four catalog fixtures;
 * ``memo_hits`` (printed last, not a digest): ``scale[laplace_inversion]``,
   ``overshoot_of_w`` and ``membership`` run again right after their first
   run, with every ``ScaleFunction`` build and every membership report refused,
@@ -421,6 +426,24 @@ def layer_section():
     return d.hexdigest()
 
 
+# the custom section's stencil points: the step shrinks near a, and b itself
+CUSTOM_GRID = np.array([1e-7, 1e-6, 1e-4, 1e-3, 0.05, 0.3, 1.0, 1.7, 1.99, 2.0])
+
+
+def custom_section():
+    d = Digest()
+    a, b, q, x = (GOLDEN_SPEC[key] for key in ("a", "b", "q", "x"))
+    penalty = generator.extend_penalty(
+        np.exp, a, b, generator.ExtensionRecipe(kind="custom", f_tilde=np.exp))
+    d.add(penalty.f_tilde_left_deriv, CUSTOM_GRID)
+    d.add(penalty.f_tilde_second, CUSTOM_GRID)
+    prob = identities.ExitProblem(a, b, q, x)
+    for model in models.canonical_models().values():
+        d.add(lambda: value_numbers(identities.overshoot_functional_general(
+            penalty, ScaleFunction(model, q), prob)))
+    return d.hexdigest()
+
+
 def memo_hits(section):
     """``section()`` with every ``ScaleFunction`` build and every membership
     report refused: one that no cache serves raises, and its type enters the
@@ -453,6 +476,7 @@ def main():
         "cli": cli_section,
         "estimates": estimates_section,
         "layer": layer_section,
+        "custom": custom_section,
     }
     equal = {}
     for name, fn in sections.items():
